@@ -140,10 +140,10 @@ def _cmd_refute(args: argparse.Namespace) -> int:
             print(f"valid ({logic.value}): {render(f)} (no refutation exists)")
             print(proof_text(out.tree))
         return 0
-    defects = check_refutation(out, logic)
-    if defects:
-        raise CliError(f"internal checker defect: {defects[0]}")
-    model = extract_model(out, logic)
+    try:
+        model = extract_model(out, logic)  # checks the refutation first
+    except ValueError as exc:
+        raise CliError(f"internal checker defect: {exc}") from exc
     _verified_countermodel(f, model, logic)
     if args.format == "json":
         _emit_json({
@@ -290,6 +290,19 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return convert
+
+
 def _add_common(sub: argparse.ArgumentParser, with_formula: bool = True) -> None:
     sub.add_argument("--logic", choices=["iel", "iel-"], default="iel",
                      help="logic to decide in (default: iel)")
@@ -337,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("crosscheck", help="compare the prover against the brute-force oracle")
     _add_common(p)
-    p.add_argument("--bound", type=int, default=3, help="world bound for the oracle (default 3)")
-    p.add_argument("--random", type=int, metavar="N",
+    p.add_argument("--bound", type=_int_at_least(1), default=3,
+                   help="world bound for the oracle (default 3)")
+    p.add_argument("--random", type=_int_at_least(0), metavar="N",
                    help="crosscheck N random formulas instead of a given one")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for --random (default 0; runs are deterministic)")
@@ -358,6 +372,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 means "invalid", never "crashed"
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

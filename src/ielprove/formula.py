@@ -17,44 +17,68 @@ _NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
 class Formula:
-    """Base class; concrete shapes are Var, Bottom, And, Or, Imp and K."""
+    """Base class; concrete shapes are Var, Bottom, And, Or, Imp and K.
 
-    __slots__ = ()
+    Each node computes its structural hash and its connective count once,
+    when it is built, from the values its children already hold: both cost
+    O(1) per node and never recurse, however deep the tree.
+    """
+
+    __slots__ = ("_hash", "_size")
+
+    def __post_init__(self) -> None:
+        fields = tuple(vars(self).values())
+        children = [v for v in fields if isinstance(v, Formula)]
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *fields)))
+        object.__setattr__(self, "_size",
+                           sum(c._size for c in children) + (1 if children else 0))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
+def _node(cls: type) -> type:
+    """A frozen dataclass that keeps Formula's stored hash; a bare
+    @dataclass(frozen=True) would give each subclass a recursive __hash__."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Var(Formula):
     name: str
 
     def __post_init__(self) -> None:
         if not _NAME_RE.match(self.name):
             raise ValueError(f"bad variable name: {self.name!r}")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class K(Formula):
     body: Formula
 
@@ -71,14 +95,9 @@ def neg(f: Formula) -> Formula:
 # Structural measures
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def connective_count(f: Formula) -> int:
     """Number of occurrences of &, |, -> and K (atoms and false count 0)."""
-    if isinstance(f, (Var, Bottom)):
-        return 0
-    if isinstance(f, K):
-        return 1 + connective_count(f.body)
-    return 1 + connective_count(f.left) + connective_count(f.right)
+    return f._size
 
 
 @lru_cache(maxsize=None)

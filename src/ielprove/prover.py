@@ -69,19 +69,20 @@ def _wrap(s: Sequent, rule: str, i: int, child: Refutation) -> Refutation:
     return Refutation(s, _WRAP[rule][i], None, (child,))
 
 
-def _search(s: Sequent, logic: Logic, memo: Optional[dict]) -> _Res:
-    if memo is not None:
-        hit = memo.get(s)
-        if hit is not None:
-            return hit
+def _search(s: Sequent, logic: Logic, memo: dict[Sequent, _Res]) -> _Res:
+    """Decide s, reusing the results of earlier subsequents of one call:
+    _step is a pure function of (sequent, logic), so a memo hit is exactly
+    what recomputing would return."""
+    hit = memo.get(s)
+    if hit is not None:
+        return hit
     res = _step(s, logic, memo)
     assert (res.proof is not None) != (res.model is not None)
-    if memo is not None:
-        memo[s] = res
+    memo[s] = res
     return res
 
 
-def _step(s: Sequent, logic: Logic, memo: Optional[dict]) -> _Res:
+def _step(s: Sequent, logic: Logic, memo: dict[Sequent, _Res]) -> _Res:
     name = liel_axiom(s)
     if name is not None:
         return _Res(proof=axiom_leaf(s, name))
@@ -186,32 +187,30 @@ def _step(s: Sequent, logic: Logic, memo: Optional[dict]) -> _Res:
 # Public procedures
 # ---------------------------------------------------------------------------
 
-def piel(s: Sequent, logic: Logic, memoize: bool = False) -> Outcome:
+def piel(s: Sequent, logic: Logic) -> Outcome:
     """Decide a sequent: a proof if it is provable, otherwise a Kripke
     countermodel of minimal depth whose root satisfies it."""
-    res = _search(s, logic, {} if memoize else None)
+    res = _search(s, logic, {})
     if res.proof is not None:
         return Proof(res.proof)
     return Countermodel(res.model)
 
 
-def decide(f: Formula, logic: Logic, memoize: bool = False) -> Outcome:
+def decide(f: Formula, logic: Logic) -> Outcome:
     """Decide a formula: Proof means valid, Countermodel means invalid."""
-    return piel(Sequent(delta=frozenset({f})), logic, memoize=memoize)
+    return piel(Sequent(delta=frozenset({f})), logic)
 
 
-def prove_or_refute(s: Sequent, logic: Logic,
-                    memoize: bool = False) -> Union[Proof, Refutation]:
+def prove_or_refute(s: Sequent, logic: Logic) -> Union[Proof, Refutation]:
     """The combined procedure: a proof of the validity calculus or a
     refutation in the refutational calculus, never both.  Returns a proof
     exactly when piel does; the refutation follows the branch that produced
     piel's countermodel."""
-    res = _search(s, logic, {} if memoize else None)
+    res = _search(s, logic, {})
     if res.proof is not None:
         return Proof(res.proof)
     return res.refutation
 
 
-def prove_or_refute_formula(f: Formula, logic: Logic,
-                            memoize: bool = False) -> Union[Proof, Refutation]:
-    return prove_or_refute(Sequent(delta=frozenset({f})), logic, memoize=memoize)
+def prove_or_refute_formula(f: Formula, logic: Logic) -> Union[Proof, Refutation]:
+    return prove_or_refute(Sequent(delta=frozenset({f})), logic)

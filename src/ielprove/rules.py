@@ -18,7 +18,6 @@ from .formula import (
     Imp,
     K,
     Or,
-    connective_count,
     render,
     sorted_formulas,
     subformulas,
@@ -65,8 +64,7 @@ def rule_node(s: Sequent, rule: str, children: tuple[ProofTree, ...]) -> ProofTr
 
 
 def sequent_connectives(s: Sequent) -> int:
-    return sum(connective_count(f)
-               for part in (s.theta, s.gamma, s.delta) for f in part)
+    return s.size
 
 
 def proof_depth(t: ProofTree) -> int:
@@ -88,10 +86,10 @@ def instantiations(s: Sequent, logic: Logic) -> list[Instantiation]:
     if not classify(s, Calculus.LIEL, logic).is_active:
         raise ValueError(f"terminal sequent: {sequent_text(s)}")
     out = list(_enumerate(s, logic))
-    assert all(
-        sequent_connectives(p) < sequent_connectives(s)
-        for inst in out for p in inst.premises
-    ), "premise failed to shrink"
+    # Termination and the depth bound rest on this; raised rather than
+    # asserted so that it also holds under -O.
+    if not all(p.size < s.size for inst in out for p in inst.premises):
+        raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
     return out
 
 

@@ -9,7 +9,7 @@ calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -19,6 +19,7 @@ from .formula import (
     Formula,
     K,
     Var,
+    connective_count,
     formula_from_json,
     formula_to_json,
     render,
@@ -42,6 +43,13 @@ class Sequent:
     gamma: frozenset[Formula] = frozenset()
     delta: frozenset[Formula] = frozenset()
     e_flag: bool = False
+    # Connective count over all three compartments, computed once.
+    size: int = field(default=0, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size", sum(
+            connective_count(f) for part in (self.theta, self.gamma, self.delta)
+            for f in part))
 
 
 def sequent(theta: Iterable[Formula] = (), gamma: Iterable[Formula] = (),

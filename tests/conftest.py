@@ -2,13 +2,25 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from ielprove.formula import parse
+from ielprove.formula import BOT, And, Imp, K, Or, Var, parse
 from ielprove.kripke import KripkeModel
 from ielprove.oracle import random_formula
 from ielprove.sequent import Logic, Sequent
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "paper.txt"
+
+formulas = st.recursive(
+    st.one_of(st.builds(Var, st.sampled_from(["a", "b", "c", "p", "q"])), st.just(BOT)),
+    lambda sub: st.one_of(
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Imp, sub, sub),
+        st.builds(K, sub),
+    ),
+    max_leaves=14,
+)
 
 
 @pytest.fixture(scope="session")

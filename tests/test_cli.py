@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ielprove import cli, refuter
 from ielprove.cli import main
 
 CORPUS = str(Path(__file__).resolve().parent.parent / "corpus" / "paper.txt")
@@ -96,6 +97,28 @@ class TestRefute:
         code, out, _ = run(capsys, "refute", "--format", "json", "a -> K a")
         assert code == 0
         assert json.loads(out)["status"] == "valid"
+
+    def test_refutation_checked_once(self, capsys, monkeypatch):
+        calls = []
+        original = refuter.check_refutation
+
+        def counting(t, logic):
+            calls.append(t)
+            return original(t, logic)
+
+        monkeypatch.setattr(refuter, "check_refutation", counting)
+        monkeypatch.setattr(cli, "check_refutation", counting)
+        code, _, _ = run(capsys, "refute", "K a -> a")
+        assert code == 1 and len(calls) == 1
+
+    def test_rejected_refutation_is_a_checker_defect(self, capsys, monkeypatch):
+        def reject(t, logic):
+            raise ValueError("invalid refutation: planted")
+
+        monkeypatch.setattr(cli, "extract_model", reject)
+        code, out, err = run(capsys, "refute", "K a -> a")
+        assert code == 2 and out == ""
+        assert err == "error: internal checker defect: invalid refutation: planted\n"
 
 
 class TestCheckCommands:
@@ -213,3 +236,27 @@ def test_deterministic_across_processes(argv):
             for _ in range(2)]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].returncode == runs[1].returncode
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    return subprocess.run([sys.executable, "-m", "ielprove.cli", *argv],
+                          capture_output=True, text=True)
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("argv", [
+        ("crosscheck", "--bound", "0", "K a -> a"),
+        ("crosscheck", "--random", "-1"),
+        ("decide", "~" * 400 + "a"),
+    ])
+    def test_bad_input_exits_2_without_traceback(self, argv):
+        run = run_process(*argv)
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        assert "error:" in run.stderr
+
+    def test_unexpected_exception_is_one_line(self, capsys):
+        code, out, err = run(capsys, "decide", "~" * 400 + "a")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

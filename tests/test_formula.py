@@ -1,5 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
+
+from conftest import formulas
 
 from ielprove.formula import (
     BOT,
@@ -20,18 +22,6 @@ from ielprove.formula import (
 )
 
 a, b, c = Var("a"), Var("b"), Var("c")
-
-
-formulas = st.recursive(
-    st.one_of(st.builds(Var, st.sampled_from(["a", "b", "c", "p", "q"])), st.just(BOT)),
-    lambda sub: st.one_of(
-        st.builds(And, sub, sub),
-        st.builds(Or, sub, sub),
-        st.builds(Imp, sub, sub),
-        st.builds(K, sub),
-    ),
-    max_leaves=14,
-)
 
 
 class TestParse:

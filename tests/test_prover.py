@@ -1,15 +1,45 @@
+import hashlib
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from ielprove.formula import K, Var, parse, render
-from ielprove.kripke import check_frame, depth, satisfies, single_world
+from ielprove.kripke import check_frame, depth, model_to_json, satisfies, single_world
 from ielprove.oracle import random_formulas
-from ielprove.prover import Countermodel, Proof, decide, piel
-from ielprove.rules import check_proof, proof_depth, sequent_connectives
+from ielprove.prover import Countermodel, Proof, decide, piel, prove_or_refute_formula
+from ielprove.refuter import refutation_to_json
+from ielprove.rules import check_proof, proof_depth, proof_to_json, sequent_connectives
 from ielprove.sequent import Logic, Sequent, sequent
 
 a = Var("a")
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "certificates.json"
+
+
+def _sha(obj: dict) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def golden_text() -> str:
+    """Verdict, countermodel depth and certificate digests for 80 seeded
+    random formulas under both logics, one entry per (formula, logic)."""
+    entries = []
+    for f in random_formulas(80, seed=31337):
+        for logic in Logic:
+            out = decide(f, logic)
+            entry = {"formula": render(f), "logic": logic.value}
+            if isinstance(out, Proof):
+                entry.update(verdict="valid", depth=None, proof=_sha(proof_to_json(out.tree)))
+            else:
+                refutation = prove_or_refute_formula(f, logic)
+                entry.update(verdict="invalid", depth=depth(out.model),
+                             model=_sha(model_to_json(out.model)),
+                             refutation=_sha(refutation_to_json(refutation)))
+            entries.append(entry)
+    return json.dumps(entries, indent=1, sort_keys=True) + "\n"
 
 
 def _countermodel(text: str, logic: Logic):
@@ -100,17 +130,9 @@ class TestCertificates:
         assert satisfies(out.model, out.model.root, s)
 
 
-class TestMemoization:
-    def test_outcome_identical(self):
-        for f in random_formulas(80, seed=31337):
-            for logic in Logic:
-                plain = decide(f, logic)
-                memo = decide(f, logic, memoize=True)
-                assert type(plain) is type(memo)
-                if isinstance(plain, Proof):
-                    assert plain.tree == memo.tree
-                else:
-                    assert plain.model == memo.model
+class TestGoldenCertificates:
+    def test_reproduces_golden_file(self):
+        assert golden_text() == GOLDEN.read_text(encoding="utf-8")
 
 
 class TestLogicRelations:
@@ -147,3 +169,10 @@ def _walk(f):
         sub = getattr(f, attr, None)
         if sub is not None:
             yield from _walk(sub)
+
+
+if __name__ == "__main__":
+    # Re-record the golden file: python tests/test_prover.py --record
+    if sys.argv[1:] == ["--record"]:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(golden_text(), encoding="utf-8")
