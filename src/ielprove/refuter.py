@@ -198,11 +198,10 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
 
     def visit(node: Refutation) -> None:
         s = node.sequent
-        for f in s.theta | s.gamma | s.delta:
-            if f not in allowed:
-                defects.append(Defect(
-                    "Subformula",
-                    f"{render(f)} is not a subformula of the root in {sequent_text(s)}"))
+        for f in sorted_formulas((s.theta | s.gamma | s.delta) - allowed):
+            defects.append(Defect(
+                "Subformula",
+                f"{render(f)} is not a subformula of the root in {sequent_text(s)}"))
         if node.rule is None:
             if node.children or node.axiom is None:
                 defects.append(Defect("NonAxiomLeaf", sequent_text(s)))

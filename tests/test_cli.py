@@ -10,6 +10,8 @@ from ielprove import cli, refuter
 from ielprove.cli import main
 
 CORPUS = str(Path(__file__).resolve().parent.parent / "corpus" / "paper.txt")
+# Certificates with six non-subformulas at one node.
+NONSUB = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -226,6 +228,8 @@ class TestBatch:
     ("decide", "--format", "json", "K(a|b) -> (K a | K b)"),
     ("refute", "--format", "json", "K(a|b) -> (K a | K b)"),
     ("decide", "--format", "json", "K(a->b) -> (K a -> K b)"),
+    ("check-proof", str(NONSUB / "nonsubformula-proof.json")),
+    ("check-refutation", str(NONSUB / "nonsubformula-refutation.json")),
 ])
 def test_deterministic_across_processes(argv):
     """Hash randomization differs per process; output must not."""
