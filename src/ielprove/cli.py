@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .formula import Formula, FormulaSyntaxError, parse, render
@@ -29,10 +30,9 @@ from .refuter import (
     check_refutation,
     extract_model,
     refutation_from_json,
-    refutation_text,
     refutation_to_json,
 )
-from .rules import check_proof, proof_from_json, proof_text, proof_to_json
+from .rules import check_proof, derivation_text, proof_from_json, proof_to_json
 from .sequent import Logic, Sequent
 
 
@@ -104,7 +104,7 @@ def _cmd_decide(args: argparse.Namespace, print_model: bool = True) -> int:
             raise CliError("dot output needs a model certificate; the formula is valid")
         else:
             print(f"valid ({logic.value}): {render(f)}")
-            print(proof_text(outcome.tree))
+            print(derivation_text(outcome.tree))
         return 0
     model = outcome.model
     _verified_countermodel(f, model, logic)
@@ -138,7 +138,7 @@ def _cmd_refute(args: argparse.Namespace) -> int:
             _emit_json({"status": "valid", "proof": proof_to_json(out.tree)})
         else:
             print(f"valid ({logic.value}): {render(f)} (no refutation exists)")
-            print(proof_text(out.tree))
+            print(derivation_text(out.tree))
         return 0
     try:
         model = extract_model(out, logic)  # checks the refutation first
@@ -155,7 +155,7 @@ def _cmd_refute(args: argparse.Namespace) -> int:
         print(model_to_dot(model))
     else:
         print(f"invalid ({logic.value}): {render(f)}")
-        print(refutation_text(out))
+        print(derivation_text(out))
         print(model_text(model))
     return 1
 
@@ -365,9 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: building it costs more
+    than deciding a small formula, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

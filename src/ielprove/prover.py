@@ -17,7 +17,7 @@ from typing import Optional, Union
 from .formula import Formula
 from .kripke import KripkeModel, depth, glue, glue_kl, single_world
 from .refuter import Refutation
-from .rules import Instantiation, ProofTree, axiom_leaf, instantiations, rule_node
+from .rules import REFUTATIONS, Instantiation, ProofTree, axiom_leaf, rule_instances, rule_node
 from .sequent import (
     Logic,
     Sequent,
@@ -48,25 +48,9 @@ class _Res:
     refutation: Optional[Refutation] = None
 
 
-_STEP3 = ("AndL", "OrR", "eAndL", "eOrR", "eKL", "eKR")
-_STEP4 = ("OrL", "AndR", "eOrL", "eAndR")
-_STEP5_FIRST = ("ImpR", "KR", "eImpR")
-_STEP5_SECOND = ("ImpL", "eImpL")
-
-# Refutational rule naming for the i-th non-rightmost premise of each rule.
-_WRAP = {
-    "AndL": ("AndL",), "OrR": ("OrR",), "eAndL": ("eAndL",), "eOrR": ("eOrR",),
-    "eKL": ("eKL",), "eKR": ("eKR",),
-    "OrL": ("OrL1", "OrL2"), "AndR": ("AndR1", "AndR2"),
-    "eOrL": ("eOrL1", "eOrL2"), "eAndR": ("eAndR1", "eAndR2"),
-    "ImpR": ("ImpR1",), "KR": ("KR1",), "eImpR": ("eImpR1",),
-    "ImpL": ("ImpL1", "ImpL2"), "eImpL": ("eImpL1", "eImpL2"),
-    "KL": ("KL1",),
-}
-
-
-def _wrap(s: Sequent, rule: str, i: int, child: Refutation) -> Refutation:
-    return Refutation(s, _WRAP[rule][i], None, (child,))
+_INVERTIBLE = ("AndL", "OrR", "eAndL", "eOrR", "eKL", "eKR",
+               "OrL", "AndR", "eOrL", "eAndR")
+_NONINVERTIBLE = ("ImpR", "KR", "eImpR", "ImpL", "eImpL")
 
 
 def _search(s: Sequent, logic: Logic, memo: dict[Sequent, _Res]) -> _Res:
@@ -91,68 +75,44 @@ def _step(s: Sequent, logic: Logic, memo: dict[Sequent, _Res]) -> _Res:
         sat = riel_axiom(s, logic)
         assert sat is not None
         return _Res(model=single_world(gamma_vars(s), reflexive),
-                    refutation=Refutation(s, None, sat, ()))
+                    refutation=axiom_leaf(s, sat))
 
-    groups: dict[str, list[Instantiation]] = {}
-    for inst in instantiations(s, logic):
-        groups.setdefault(inst.rule, []).append(inst)
-
-    # Single-premise invertible rules: the recursive result passes through.
-    for rule in _STEP3:
-        if rule in groups:
-            inst = groups[rule][0]
-            sub = _search(inst.premises[0], logic, memo)
-            if sub.proof is not None:
-                return _Res(proof=rule_node(s, rule, (sub.proof,)))
-            return _Res(model=sub.model,
-                        refutation=_wrap(s, rule, 0, sub.refutation))
-
-    # Two-premise invertible rules: a model of either premise satisfies the
-    # conclusion; with two models the shallower one wins (ties to the first).
-    for rule in _STEP4:
-        if rule in groups:
-            inst = groups[rule][0]
-            subs = [_search(p, logic, memo) for p in inst.premises]
-            if all(sub.proof is not None for sub in subs):
-                return _Res(proof=rule_node(s, rule, tuple(x.proof for x in subs)))
-            i, sub = min(
-                ((i, x) for i, x in enumerate(subs) if x.model is not None),
-                key=lambda pair: depth(pair[1].model))
-            return _Res(model=sub.model,
-                        refutation=_wrap(s, rule, i, sub.refutation))
+    # Invertible rules, single-premise ones first.
+    for rule in _INVERTIBLE:
+        inst = next(rule_instances(rule, s, logic), None)
+        if inst is not None:
+            return _each_premise(s, inst, logic, memo)
 
     # The non-invertible loop.
-    step5 = [(rule, inst)
-             for block in (_STEP5_FIRST, _STEP5_SECOND)
-             for rule in block
-             for inst in groups.get(rule, [])]
-    if step5:
+    insts = [inst for rule in _NONINVERTIBLE for inst in rule_instances(rule, s, logic)]
+    if insts:
         inv: list[tuple[KripkeModel, Refutation]] = []
         noninv: list[tuple[KripkeModel, Refutation, bool]] = []
-        for rule, inst in step5:
+        for inst in insts:
             subs = [_search(p, logic, memo) for p in inst.premises]
             if all(sub.proof is not None for sub in subs):
-                return _Res(proof=rule_node(s, rule, tuple(x.proof for x in subs)))
+                return _Res(proof=rule_node(s, inst.rule, tuple(x.proof for x in subs)))
             for i, sub in enumerate(subs[:-1]):
                 if sub.model is not None:
-                    inv.append((sub.model, _wrap(s, rule, i, sub.refutation)))
+                    name = REFUTATIONS[(inst.rule, i)]
+                    inv.append((sub.model, rule_node(s, name, (sub.refutation,))))
             last = subs[-1]
             if last.model is not None:
-                noninv.append((last.model, last.refutation, rule == "KR"))
+                noninv.append((last.model, last.refutation, inst.rule == "KR"))
 
         def glued() -> tuple[KripkeModel, Refutation]:
             model = glue(gamma_vars(s), [m for m, _, _ in noninv], s.e_flag,
                          e_link_roots=[i for i, (_, _, kr) in enumerate(noninv) if kr])
-            ref = Refutation(s, "eGlue" if s.e_flag else "Glue", None,
-                             tuple(r for _, r, _ in noninv))
+            ref = rule_node(s, "eGlue" if s.e_flag else "Glue",
+                            tuple(r for _, r, _ in noninv))
             return model, ref
 
         if not inv:
-            assert len(noninv) == len(step5)
+            assert len(noninv) == len(insts)
             model, ref = glued()
             return _Res(model=model, refutation=ref)
         u_model, u_ref = min(inv, key=lambda pair: depth(pair[0]))
-        if len(noninv) < len(step5):
+        if len(noninv) < len(insts):
             # Some rightmost premise was provable; no glue candidate exists.
             return _Res(model=u_model, refutation=u_ref)
         m_model, m_ref = glued()
@@ -162,25 +122,28 @@ def _step(s: Sequent, logic: Logic, memo: dict[Sequent, _Res]) -> _Res:
 
     # Left K rule, IEL only; reached exactly when the second compartment is
     # variables and K-formulas and the third is atomic.
-    insts = groups.get("KL")
-    assert insts, f"active sequent with no applicable rule: {s}"
-    inst = insts[0]
-    u1 = _search(inst.premises[0], logic, memo)
-    u2 = _search(inst.premises[1], logic, memo)
-    if u1.proof is not None and u2.proof is not None:
-        return _Res(proof=rule_node(s, "KL", (u1.proof, u2.proof)))
-    if u1.model is not None and u2.proof is None:
-        # Both premises have models; compare the direct model against the
-        # glued one (ties to the first computed).
-        m_model = glue_kl(gamma_vars(s), u2.model)
-        if depth(u1.model) <= depth(m_model):
-            return _Res(model=u1.model, refutation=_wrap(s, "KL", 0, u1.refutation))
-        return _Res(model=m_model,
-                    refutation=Refutation(s, "KL2", None, (u2.refutation,)))
-    if u1.model is not None:
-        return _Res(model=u1.model, refutation=_wrap(s, "KL", 0, u1.refutation))
-    m_model = glue_kl(gamma_vars(s), u2.model)
-    return _Res(model=m_model, refutation=Refutation(s, "KL2", None, (u2.refutation,)))
+    inst = next(rule_instances("KL", s, logic), None)
+    assert inst is not None, f"active sequent with no applicable rule: {s}"
+    return _each_premise(s, inst, logic, memo)
+
+
+def _each_premise(s: Sequent, inst: Instantiation, logic: Logic,
+                  memo: dict[Sequent, _Res]) -> _Res:
+    """Decide s by a rule instance each of whose premises refutes s on its
+    own: a proof if every premise is provable, otherwise the shallowest
+    model of the conclusion (ties to the first premise).  A model of a
+    premise satisfies the conclusion directly, except that a model of KL's
+    second premise is first glued under a fresh root."""
+    subs = [_search(p, logic, memo) for p in inst.premises]
+    if all(x.proof is not None for x in subs):
+        return _Res(proof=rule_node(s, inst.rule, tuple(x.proof for x in subs)))
+    refuted = []
+    for i, x in enumerate(subs):
+        if x.model is not None:
+            name = REFUTATIONS[(inst.rule, i)]
+            model = glue_kl(gamma_vars(s), x.model) if name == "KL2" else x.model
+            refuted.append(_Res(model=model, refutation=rule_node(s, name, (x.refutation,))))
+    return min(refuted, key=lambda r: depth(r.model))
 
 
 # ---------------------------------------------------------------------------

@@ -2,100 +2,52 @@
 
 Refutations are rule-labelled trees whose leaves are satisfiable flat
 shapes (Sat/eSat, plus kSat under IEL-); a valid refutation maps
-constructively to a Kripke countermodel.  This module holds the rule
-schemata, the refutation checker and the model extraction; the combined
-search procedure that emits refutations lives in prover.py next to the
-proof search it mirrors.
+constructively to a Kripke countermodel.  Every refutational rule refutes
+one premise of a validity rule (rules.REFUTATIONS), so this module holds
+only the refutational names, the Glue check, the refutation checker and
+the model extraction; the combined search procedure that emits
+refutations lives in prover.py next to the proof search it mirrors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from collections import Counter
+from typing import Optional
 
-from .formula import (
-    BOT,
-    And,
-    Bottom,
-    Formula,
-    Imp,
-    K,
-    Or,
-    Var,
-    render,
-    sorted_formulas,
-    subformulas,
-)
+from .formula import BOT, Bottom, Imp, K, Var
 from .kripke import KripkeModel, glue, glue_kl, single_world
-from .rules import Defect, proof_text, sequent_connectives
-from .sequent import (
-    Logic,
-    Sequent,
-    gamma_vars,
-    riel_axiom,
-    sequent_from_json,
-    sequent_text,
-    sequent_to_json,
+from .rules import (
+    REFUTATIONS,
+    Defect,
+    Derivation,
+    check_derivation,
+    derivation_from_json,
+    derivation_to_json,
+    rule_instances,
 )
+from .sequent import Logic, Sequent, gamma_vars, riel_axiom, sequent_text
 
-RIEL_RULES = (
-    "AndL", "AndR1", "AndR2", "OrL1", "OrL2", "OrR",
-    "ImpL1", "ImpL2", "ImpR1", "KL1", "KL2", "KR1",
-    "eKL", "eKR", "eAndL", "eAndR1", "eAndR2", "eOrL1", "eOrL2", "eOrR",
-    "eImpL1", "eImpL2", "eImpR1", "Glue", "eGlue",
-)
+Refutation = Derivation
+
+RIEL_RULES = tuple(dict.fromkeys(REFUTATIONS.values()))
 
 RIEL_AXIOMS = ("Sat", "eSat", "kSat")
 
-
-@dataclass(frozen=True)
-class Refutation:
-    sequent: Sequent
-    rule: Optional[str]
-    axiom: Optional[str]
-    children: tuple["Refutation", ...]
-
-
-def refutation_depth(t: Refutation) -> int:
-    return 1 + max(map(refutation_depth, t.children)) if t.children else 0
+# Each refutational rule but Glue/eGlue: the validity premise it refutes.
+_PREMISE_OF = {name: key for key, name in REFUTATIONS.items()
+               if name not in ("Glue", "eGlue")}
 
 
 # ---------------------------------------------------------------------------
-# Glue and the rule schemata
+# Glue
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GlueInstance:
-    """The full premise family of a Glue/eGlue node: one premise per
-    implication on the left, per implication on the right and (Glue only)
-    per K-formula on the right."""
-
-    imp_left: tuple[Sequent, ...]
-    imp_right: tuple[Sequent, ...]
-    k_right: tuple[Sequent, ...]
-
-    @property
-    def premises(self) -> tuple[Sequent, ...]:
-        return self.imp_right + self.k_right + self.imp_left
-
-
-def glue_instance(s: Sequent) -> GlueInstance:
-    theta, gamma, delta = s.theta, s.gamma, s.delta
-    imp_left = tuple(
-        Sequent(frozenset({f.right}), theta | (gamma - {f}), frozenset({f.left}), False)
-        for f in sorted_formulas(g for g in gamma if isinstance(g, Imp)))
-    imp_right = tuple(
-        Sequent(frozenset(), theta | gamma | {f.left}, frozenset({f.right}), False)
-        for f in sorted_formulas(d for d in delta if isinstance(d, Imp)))
-    if s.e_flag:
-        k_right: tuple[Sequent, ...] = ()
-    else:
-        ks = frozenset(g for g in gamma if isinstance(g, K))
-        gamma2 = (gamma - ks) | frozenset(g.body for g in ks)
-        k_right = tuple(
-            Sequent(frozenset(), theta | gamma2, frozenset({f.body}), False)
-            for f in sorted_formulas(d for d in delta if isinstance(d, K)))
-    return GlueInstance(imp_left, imp_right, k_right)
+def glue_premises(s: Sequent, logic: Logic) -> list[Sequent]:
+    """The full premise family of a Glue/eGlue node on s: the rightmost
+    premise of every instance of ImpR, KR (Glue only) and ImpL."""
+    glue_rule = "eGlue" if s.e_flag else "Glue"
+    return [inst.premises[i] for (rule, i), name in REFUTATIONS.items() if name == glue_rule
+            for inst in rule_instances(rule, s, logic)]
 
 
 def _glue_shape_ok(s: Sequent) -> bool:
@@ -106,152 +58,48 @@ def _glue_shape_ok(s: Sequent) -> bool:
             and all(isinstance(f, (Var, Bottom, Imp, K)) for f in s.delta))
 
 
-def _applications(s: Sequent, rule: str, logic: Logic) -> Iterator[tuple[Sequent, ...]]:
-    """Premise tuples of every way the rule can fire on s (Glue excluded).
-
-    Assumes the global proviso already holds: no falsum on the left and
-    disjoint second/third compartments.
-    """
-    theta, gamma, delta = s.theta, s.gamma, s.delta
-    e = s.e_flag
-    if rule.startswith("e") != e:
-        return
-    base = rule[1:] if rule.startswith("e") else rule
-    if base == "AndL":
-        for f in gamma:
-            if isinstance(f, And):
-                yield (Sequent(theta, (gamma - {f}) | {f.left, f.right}, delta, e),)
-    elif base in ("AndR1", "AndR2"):
-        pick = (lambda f: f.left) if base == "AndR1" else (lambda f: f.right)
-        for f in delta:
-            if isinstance(f, And):
-                yield (Sequent(theta, gamma, (delta - {f}) | {pick(f)}, e),)
-    elif base in ("OrL1", "OrL2"):
-        pick = (lambda f: f.left) if base == "OrL1" else (lambda f: f.right)
-        for f in gamma:
-            if isinstance(f, Or):
-                yield (Sequent(theta, (gamma - {f}) | {pick(f)}, delta, e),)
-    elif base == "OrR":
-        for f in delta:
-            if isinstance(f, Or):
-                yield (Sequent(theta, gamma, (delta - {f}) | {f.left, f.right}, e),)
-    elif base == "ImpL1":
-        for f in gamma:
-            if isinstance(f, Imp):
-                yield (Sequent(theta, (gamma - {f}) | {f.right}, delta, e),)
-    elif base == "ImpL2":
-        for f in gamma:
-            if isinstance(f, Imp):
-                yield (Sequent(theta | {f.right}, gamma - {f}, delta | {f.left}, e),)
-    elif base == "ImpR1":
-        for f in delta:
-            if isinstance(f, Imp):
-                yield (Sequent(theta, gamma | {f.left}, (delta - {f}) | {f.right}, e),)
-    elif base == "KL1" and not e and logic is Logic.IEL:
-        for f in gamma:
-            if isinstance(f, K):
-                yield (Sequent(frozenset({BOT}), (gamma - {f}) | {f.body}, delta, True),)
-    elif base == "KL2" and not e and logic is Logic.IEL:
-        if all(isinstance(f, (Var, Bottom)) for f in delta):
-            for f in gamma:
-                if isinstance(f, K):
-                    yield (Sequent(frozenset({BOT}), theta | (gamma - {f}) | {f.body},
-                                   frozenset({BOT}), True),)
-    elif base == "KR1" and not e:
-        ks = frozenset(g for g in gamma if isinstance(g, K))
-        bodies = frozenset(g.body for g in ks)
-        for f in delta:
-            if isinstance(f, K):
-                yield (Sequent(theta, (gamma - ks) | bodies,
-                               (delta - {f}) | {f.body}, True),)
-    elif base == "KL" and e:
-        for f in gamma:
-            if isinstance(f, K):
-                yield (Sequent(theta, (gamma - {f}) | {f.body}, delta, True),)
-    elif base == "KR" and e:
-        for f in delta:
-            if isinstance(f, K):
-                yield (Sequent(theta, gamma, (delta - {f}) | {f.body}, True),)
-
-
 # ---------------------------------------------------------------------------
 # Refutation checking
 # ---------------------------------------------------------------------------
-
-def _axiom_fits(s: Sequent, name: str, logic: Logic) -> bool:
-    return riel_axiom(s, logic) is not None and name == riel_axiom(s, logic)
-
-
-def _multiset_key(seqs: tuple[Sequent, ...]) -> list[str]:
-    return sorted(sequent_text(q) for q in seqs)
-
 
 def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
     """Validate a refutation: recognised rules under the logic at hand, the
     global proviso, exact (and nonempty) Glue premise families, satisfiable
     leaves, the depth bound and the subformula property."""
-    defects: list[Defect] = []
-    root = t.sequent
-    allowed: frozenset[Formula] = frozenset({BOT})
-    for f in root.theta | root.gamma | root.delta:
-        allowed |= subformulas(f)
 
-    def visit(node: Refutation) -> None:
-        s = node.sequent
-        for f in sorted_formulas((s.theta | s.gamma | s.delta) - allowed):
-            defects.append(Defect(
-                "Subformula",
-                f"{render(f)} is not a subformula of the root in {sequent_text(s)}"))
-        if node.rule is None:
-            if node.children or node.axiom is None:
-                defects.append(Defect("NonAxiomLeaf", sequent_text(s)))
-            elif not _axiom_fits(s, node.axiom, logic):
-                defects.append(Defect(
-                    "BadAxiom", f"{node.axiom} does not fit {sequent_text(s)}"))
-            return
-        rule = node.rule
-        if node.axiom is not None:
-            defects.append(Defect("MalformedNode", sequent_text(s)))
-            return
+    def cannot_fire(node: Refutation) -> Optional[Defect]:
+        s, rule = node.sequent, node.rule
         if rule not in RIEL_RULES:
-            defects.append(Defect("BadRule", repr(rule)))
-            return
+            return Defect("BadRule", repr(rule))
         if logic is Logic.IEL_MINUS and rule in ("KL1", "KL2"):
-            defects.append(Defect("BadRule", f"{rule} is not available under IEL-"))
-            return
+            return Defect("BadRule", f"{rule} is not available under IEL-")
         if BOT in s.gamma or (s.gamma & s.delta):
-            defects.append(Defect(
-                "ProvisoViolation",
-                f"{rule} fired on {sequent_text(s)}"))
-            return
+            return Defect("ProvisoViolation", f"{rule} fired on {sequent_text(s)}")
+        return None
+
+    def bad_premises(node: Refutation) -> Optional[Defect]:
+        s, rule = node.sequent, node.rule
         got = tuple(c.sequent for c in node.children)
         if rule in ("Glue", "eGlue"):
             if (rule == "Glue") == s.e_flag or not _glue_shape_ok(s):
-                defects.append(Defect(
-                    "BadInstantiation", f"{rule} on {sequent_text(s)}"))
-            else:
-                expected = glue_instance(s).premises
-                if not expected:
-                    defects.append(Defect("EmptyGlue", sequent_text(s)))
-                elif _multiset_key(got) != _multiset_key(expected):
-                    defects.append(Defect(
-                        "BadInstantiation",
-                        f"{rule} premises do not match on {sequent_text(s)}"))
-        elif rule == "KL2" and not all(isinstance(f, (Var, Bottom)) for f in s.delta):
-            defects.append(Defect(
-                "ProvisoViolation", f"KL2 needs an atomic third compartment: {sequent_text(s)}"))
-        elif not any(premises == got for premises in _applications(s, rule, logic)):
-            defects.append(Defect(
-                "BadInstantiation", f"{rule} on {sequent_text(s)}"))
-        for child in node.children:
-            visit(child)
+                return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}")
+            expected = glue_premises(s, logic)
+            if not expected:
+                return Defect("EmptyGlue", sequent_text(s))
+            if Counter(got) != Counter(expected):
+                return Defect("BadInstantiation",
+                              f"{rule} premises do not match on {sequent_text(s)}")
+            return None
+        if rule == "KL2" and not all(isinstance(f, (Var, Bottom)) for f in s.delta):
+            return Defect("ProvisoViolation",
+                          f"KL2 needs an atomic third compartment: {sequent_text(s)}")
+        premise_of, i = _PREMISE_OF[rule]
+        if any((inst.premises[i],) == got for inst in rule_instances(premise_of, s, logic)):
+            return None
+        return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}")
 
-    visit(t)
-    if refutation_depth(t) > sequent_connectives(root):
-        defects.append(Defect(
-            "DepthBound",
-            f"depth {refutation_depth(t)} exceeds {sequent_connectives(root)} connectives"))
-    return defects
+    return check_derivation(t, lambda s, name: riel_axiom(s, logic) == name,
+                            cannot_fire, bad_premises)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +125,7 @@ def _extract(t: Refutation, logic: Logic) -> KripkeModel:
                             logic is Logic.IEL or t.sequent.e_flag)
     if t.rule in ("Glue", "eGlue"):
         subs = [_extract(c, logic) for c in t.children]
-        k_right = frozenset(glue_instance(t.sequent).k_right)
+        k_right = {inst.premises[-1] for inst in rule_instances("KR", t.sequent, logic)}
         links = [i for i, c in enumerate(t.children) if c.sequent in k_right]
         return glue(gamma_vars(t.sequent), subs, t.sequent.e_flag,
                     e_link_roots=links)
@@ -287,41 +135,12 @@ def _extract(t: Refutation, logic: Logic) -> KripkeModel:
 
 
 # ---------------------------------------------------------------------------
-# Text and JSON forms
+# JSON forms
 # ---------------------------------------------------------------------------
 
-def refutation_text(t: Refutation) -> str:
-    # Same indented layout as proofs; ProofTree and Refutation share fields.
-    return proof_text(t)  # type: ignore[arg-type]
-
-
-def refutation_to_json(t: Refutation, top: bool = True) -> dict:
-    obj = {
-        "sequent": sequent_to_json(t.sequent),
-        "rule": t.rule,
-        "axiom": t.axiom,
-        "children": [refutation_to_json(c, top=False) for c in t.children],
-    }
-    if top:
-        obj["calculus"] = "riel"
-    return obj
+def refutation_to_json(t: Refutation) -> dict:
+    return {**derivation_to_json(t), "calculus": "riel"}
 
 
 def refutation_from_json(obj: object) -> Refutation:
-    if not isinstance(obj, dict) or "sequent" not in obj:
-        raise ValueError(f"not a refutation object: {obj!r}")
-    rule = obj.get("rule")
-    axiom = obj.get("axiom")
-    if rule is not None and rule not in RIEL_RULES:
-        raise ValueError(f"unknown rule: {rule!r}")
-    if axiom is not None and axiom not in RIEL_AXIOMS:
-        raise ValueError(f"unknown axiom: {axiom!r}")
-    children = obj.get("children", [])
-    if not isinstance(children, list):
-        raise ValueError("refutation 'children' must be a list")
-    return Refutation(
-        sequent_from_json(obj["sequent"]),
-        rule,
-        axiom,
-        tuple(refutation_from_json(c) for c in children),
-    )
+    return derivation_from_json(obj, RIEL_RULES, RIEL_AXIOMS, "refutation")

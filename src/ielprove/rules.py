@@ -1,15 +1,18 @@
-"""Rules of the validity calculi for IEL and IEL-.
+"""The rule schema of both calculi for IEL and IEL-, and their derivations.
 
-Bottom-up rule instantiation over three-compartment sequents, proof trees,
-and an independent proof checker enforcing rule validity, the depth bound
-and the subformula property.  The calculus for IEL- is the same rule set
-minus the left K rule on plain sequents.
+RULE_TABLE is the one rule schema: for each rule of the validity calculus,
+in canonical order, how it instantiates bottom-up on a three-compartment
+sequent.  Every refutational rule is one premise of a validity rule, and
+REFUTATIONS names it.  The calculus for IEL- is the same rule set minus
+the left K rule on plain sequents.  Proofs and refutations share one tree
+type, one checker skeleton (rule validity is the calculus's own; the depth
+bound and the subformula property are common) and one JSON codec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .formula import (
     BOT,
@@ -32,13 +35,6 @@ from .sequent import (
     sequent_to_json,
 )
 
-RULES = (
-    "AndL", "AndR", "OrL", "OrR", "ImpL", "ImpR", "KL", "KR",
-    "eAndL", "eAndR", "eOrL", "eOrR", "eImpL", "eImpR", "eKL", "eKR",
-)
-
-AXIOMS = ("Irr", "Id", "eIrr", "eId")
-
 
 @dataclass(frozen=True)
 class Instantiation:
@@ -48,110 +44,174 @@ class Instantiation:
 
 
 @dataclass(frozen=True)
-class ProofTree:
+class Derivation:
+    """A proof or a refutation: leaves carry an axiom name, inner nodes a
+    rule name of the calculus at hand."""
+
     sequent: Sequent
     rule: Optional[str]
     axiom: Optional[str]
-    children: tuple["ProofTree", ...]
+    children: tuple["Derivation", ...]
 
 
-def axiom_leaf(s: Sequent, name: str) -> ProofTree:
-    return ProofTree(s, None, name, ())
+ProofTree = Derivation
 
 
-def rule_node(s: Sequent, rule: str, children: tuple[ProofTree, ...]) -> ProofTree:
-    return ProofTree(s, rule, None, children)
+def axiom_leaf(s: Sequent, name: str) -> Derivation:
+    return Derivation(s, None, name, ())
+
+
+def rule_node(s: Sequent, rule: str, children: tuple[Derivation, ...]) -> Derivation:
+    return Derivation(s, rule, None, children)
 
 
 def sequent_connectives(s: Sequent) -> int:
     return s.size
 
 
-def proof_depth(t: ProofTree) -> int:
+def derivation_depth(t: Derivation) -> int:
     """Length in edges of the longest branch."""
-    return 1 + max(map(proof_depth, t.children)) if t.children else 0
+    return 1 + max(map(derivation_depth, t.children)) if t.children else 0
 
 
 # ---------------------------------------------------------------------------
-# Rule instantiation
+# The rule schema
 # ---------------------------------------------------------------------------
+
+# Each builder yields (principal formulas, premises) for every way its rule
+# fires on a sequent, principals ordered by rendered text.
+_Built = Iterator[tuple[tuple[Formula, ...], tuple[Sequent, ...]]]
+
+
+def _principals(part: frozenset[Formula], cls: type) -> list[Formula]:
+    return sorted_formulas(f for f in part if isinstance(f, cls))
+
+
+def _and_l(s: Sequent) -> _Built:
+    for f in _principals(s.gamma, And):
+        yield (f,), (
+            Sequent(s.theta, (s.gamma - {f}) | {f.left, f.right}, s.delta, s.e_flag),)
+
+
+def _and_r(s: Sequent) -> _Built:
+    for f in _principals(s.delta, And):
+        yield (f,), tuple(Sequent(s.theta, s.gamma, (s.delta - {f}) | {g}, s.e_flag)
+                          for g in (f.left, f.right))
+
+
+def _or_l(s: Sequent) -> _Built:
+    for f in _principals(s.gamma, Or):
+        yield (f,), tuple(Sequent(s.theta, (s.gamma - {f}) | {g}, s.delta, s.e_flag)
+                          for g in (f.left, f.right))
+
+
+def _or_r(s: Sequent) -> _Built:
+    for f in _principals(s.delta, Or):
+        yield (f,), (
+            Sequent(s.theta, s.gamma, (s.delta - {f}) | {f.left, f.right}, s.e_flag),)
+
+
+def _imp_l(s: Sequent) -> _Built:
+    for f in _principals(s.gamma, Imp):
+        rest = s.gamma - {f}
+        yield (f,), (
+            Sequent(s.theta, rest | {f.right}, s.delta, s.e_flag),
+            Sequent(s.theta | {f.right}, rest, s.delta | {f.left}, s.e_flag),
+            Sequent(frozenset({f.right}), s.theta | rest, frozenset({f.left}), False))
+
+
+def _imp_r(s: Sequent) -> _Built:
+    for f in _principals(s.delta, Imp):
+        yield (f,), (
+            Sequent(s.theta, s.gamma | {f.left}, (s.delta - {f}) | {f.right}, s.e_flag),
+            Sequent(frozenset(), s.theta | s.gamma | {f.left}, frozenset({f.right}), False))
+
+
+def _k_l(s: Sequent) -> _Built:
+    for f in _principals(s.gamma, K):
+        rest = (s.gamma - {f}) | {f.body}
+        yield (f,), (
+            Sequent(frozenset({BOT}), rest, s.delta, True),
+            Sequent(frozenset({BOT}), s.theta | rest, frozenset({BOT}), True))
+
+
+def _k_r(s: Sequent) -> _Built:
+    # Every K-formula on the left is extracted, whichever K-formula is the target.
+    ks = _principals(s.gamma, K)
+    rest = (s.gamma - frozenset(ks)) | frozenset(g.body for g in ks)
+    for f in _principals(s.delta, K):
+        yield (f, *ks), (
+            Sequent(s.theta, rest, (s.delta - {f}) | {f.body}, True),
+            Sequent(frozenset(), s.theta | rest, frozenset({f.body}), False))
+
+
+def _e_k_l(s: Sequent) -> _Built:
+    for f in _principals(s.gamma, K):
+        yield (f,), (Sequent(s.theta, (s.gamma - {f}) | {f.body}, s.delta, True),)
+
+
+def _e_k_r(s: Sequent) -> _Built:
+    for f in _principals(s.delta, K):
+        yield (f,), (Sequent(s.theta, s.gamma, (s.delta - {f}) | {f.body}, True),)
+
+
+# The validity rules in canonical order.  Rules named with an e apply to
+# E-sequents only, the others to plain sequents only.
+RULE_TABLE: dict[str, Callable[[Sequent], _Built]] = {
+    "AndL": _and_l, "AndR": _and_r, "OrL": _or_l, "OrR": _or_r,
+    "ImpL": _imp_l, "ImpR": _imp_r, "KL": _k_l, "KR": _k_r,
+    "eAndL": _and_l, "eAndR": _and_r, "eOrL": _or_l, "eOrR": _or_r,
+    "eImpL": _imp_l, "eImpR": _imp_r, "eKL": _e_k_l, "eKR": _e_k_r,
+}
+
+RULES = tuple(RULE_TABLE)
+
+AXIOMS = ("Irr", "Id", "eIrr", "eId")
+
+# (validity rule, premise index) -> the refutational rule that refutes the
+# conclusion from a refutation of that premise alone.  The rightmost
+# premises of ImpL, ImpR and KR are refuted together, by one Glue node over
+# all of them; KL2 also needs an atomic third compartment.
+REFUTATIONS = {
+    ("AndL", 0): "AndL", ("AndR", 0): "AndR1", ("AndR", 1): "AndR2",
+    ("OrL", 0): "OrL1", ("OrL", 1): "OrL2", ("OrR", 0): "OrR",
+    ("ImpL", 0): "ImpL1", ("ImpL", 1): "ImpL2", ("ImpL", 2): "Glue",
+    ("ImpR", 0): "ImpR1", ("ImpR", 1): "Glue",
+    ("KL", 0): "KL1", ("KL", 1): "KL2", ("KR", 0): "KR1", ("KR", 1): "Glue",
+    ("eAndL", 0): "eAndL", ("eAndR", 0): "eAndR1", ("eAndR", 1): "eAndR2",
+    ("eOrL", 0): "eOrL1", ("eOrL", 1): "eOrL2", ("eOrR", 0): "eOrR",
+    ("eImpL", 0): "eImpL1", ("eImpL", 1): "eImpL2", ("eImpL", 2): "eGlue",
+    ("eImpR", 0): "eImpR1", ("eImpR", 1): "eGlue",
+    ("eKL", 0): "eKL", ("eKR", 0): "eKR",
+}
+
+
+def rule_instances(rule: str, s: Sequent, logic: Logic) -> Iterator[Instantiation]:
+    """The instantiations of one validity rule on s, lazily, in canonical
+    order.  The left K rule on plain sequents exists only under IEL; an
+    unknown name has no instantiations."""
+    build = RULE_TABLE.get(rule)
+    if (build is None or rule.startswith("e") != s.e_flag
+            or (rule == "KL" and logic is not Logic.IEL)):
+        return
+    for principal, premises in build(s):
+        # Termination and the depth bound rest on this; raised rather than
+        # asserted so that it also holds under -O.
+        if not all(p.size < s.size for p in premises):
+            raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
+        yield Instantiation(rule, principal, premises)
+
 
 def instantiations(s: Sequent, logic: Logic) -> list[Instantiation]:
     """All rule instantiations applicable to an active sequent, in canonical
-    order: fixed rule order, principals ordered by rendered text.
-
-    The right K rule always extracts every K-formula from the second
-    compartment; the left K rule exists only under IEL on plain sequents.
-    """
+    order: fixed rule order, principals ordered by rendered text."""
     if not classify(s, Calculus.LIEL, logic).is_active:
         raise ValueError(f"terminal sequent: {sequent_text(s)}")
-    out = list(_enumerate(s, logic))
-    # Termination and the depth bound rest on this; raised rather than
-    # asserted so that it also holds under -O.
-    if not all(p.size < s.size for inst in out for p in inst.premises):
-        raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
-    return out
-
-
-def _enumerate(s: Sequent, logic: Logic) -> Iterator[Instantiation]:
-    theta, gamma, delta, e = s.theta, s.gamma, s.delta, s.e_flag
-    prefix = "e" if e else ""
-
-    def gsans(p: Formula) -> frozenset[Formula]:
-        return gamma - {p}
-
-    def dsans(p: Formula) -> frozenset[Formula]:
-        return delta - {p}
-
-    for f in sorted_formulas(g for g in gamma if isinstance(g, And)):
-        yield Instantiation(prefix + "AndL", (f,), (
-            Sequent(theta, gsans(f) | {f.left, f.right}, delta, e),))
-    for f in sorted_formulas(d for d in delta if isinstance(d, And)):
-        yield Instantiation(prefix + "AndR", (f,), (
-            Sequent(theta, gamma, dsans(f) | {f.left}, e),
-            Sequent(theta, gamma, dsans(f) | {f.right}, e),))
-    for f in sorted_formulas(g for g in gamma if isinstance(g, Or)):
-        yield Instantiation(prefix + "OrL", (f,), (
-            Sequent(theta, gsans(f) | {f.left}, delta, e),
-            Sequent(theta, gsans(f) | {f.right}, delta, e),))
-    for f in sorted_formulas(d for d in delta if isinstance(d, Or)):
-        yield Instantiation(prefix + "OrR", (f,), (
-            Sequent(theta, gamma, dsans(f) | {f.left, f.right}, e),))
-    for f in sorted_formulas(g for g in gamma if isinstance(g, Imp)):
-        yield Instantiation(prefix + "ImpL", (f,), (
-            Sequent(theta, gsans(f) | {f.right}, delta, e),
-            Sequent(theta | {f.right}, gsans(f), delta | {f.left}, e),
-            Sequent(frozenset({f.right}), theta | gsans(f), frozenset({f.left}), False),))
-    for f in sorted_formulas(d for d in delta if isinstance(d, Imp)):
-        yield Instantiation(prefix + "ImpR", (f,), (
-            Sequent(theta, gamma | {f.left}, dsans(f) | {f.right}, e),
-            Sequent(frozenset(), theta | gamma | {f.left}, frozenset({f.right}), False),))
-    if e:
-        for f in sorted_formulas(g for g in gamma if isinstance(g, K)):
-            yield Instantiation("eKL", (f,), (
-                Sequent(theta, gsans(f) | {f.body}, delta, True),))
-        for f in sorted_formulas(d for d in delta if isinstance(d, K)):
-            yield Instantiation("eKR", (f,), (
-                Sequent(theta, gamma, dsans(f) | {f.body}, True),))
-    else:
-        if logic is Logic.IEL:
-            for f in sorted_formulas(g for g in gamma if isinstance(g, K)):
-                yield Instantiation("KL", (f,), (
-                    Sequent(frozenset({BOT}), gsans(f) | {f.body}, delta, True),
-                    Sequent(frozenset({BOT}), theta | gsans(f) | {f.body},
-                            frozenset({BOT}), True),))
-        ks = sorted_formulas(g for g in gamma if isinstance(g, K))
-        bodies = frozenset(g.body for g in ks)
-        rest = gamma - frozenset(ks)
-        for f in sorted_formulas(d for d in delta if isinstance(d, K)):
-            yield Instantiation("KR", (f, *ks), (
-                Sequent(theta, rest | bodies, dsans(f) | {f.body}, True),
-                Sequent(frozenset(), theta | rest | bodies,
-                        frozenset({f.body}), False),))
+    return [inst for rule in RULES for inst in rule_instances(rule, s, logic)]
 
 
 # ---------------------------------------------------------------------------
-# Proof checking
+# Checking
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -163,25 +223,23 @@ class Defect:
         return f"{self.kind}: {self.message}"
 
 
-def _axiom_fits(s: Sequent, name: str) -> bool:
-    if name in ("Irr", "eIrr"):
-        return BOT in s.gamma and s.e_flag == name.startswith("e")
-    if name in ("Id", "eId"):
-        return bool(s.gamma & s.delta) and s.e_flag == name.startswith("e")
-    return False
-
-
-def check_proof(t: ProofTree, logic: Logic) -> list[Defect]:
-    """Validate a proof tree: axiom leaves, schema-valid rule nodes, depth
-    bounded by the connective count of the root, and the subformula
-    property relative to the root sequent (falsum always allowed)."""
+def check_derivation(t: Derivation,
+                     axiom_fits: Callable[[Sequent, str], bool],
+                     cannot_fire: Callable[[Derivation], Optional[Defect]],
+                     bad_premises: Callable[[Derivation], Optional[Defect]]) -> list[Defect]:
+    """The checks both calculi share: the subformula property relative to
+    the root sequent (falsum always allowed), fitting axiom leaves, no node
+    with both a rule and an axiom, and depth bounded by the connective count
+    of the root.  At each rule node, cannot_fire reports a rule that cannot
+    fire on the node's sequent at all (its subtree is then not visited), and
+    bad_premises reports children that are not the rule's premises."""
     defects: list[Defect] = []
     root = t.sequent
     allowed: frozenset[Formula] = frozenset({BOT})
     for f in root.theta | root.gamma | root.delta:
         allowed |= subformulas(f)
 
-    def visit(node: ProofTree) -> None:
+    def visit(node: Derivation) -> None:
         s = node.sequent
         for f in sorted_formulas((s.theta | s.gamma | s.delta) - allowed):
             defects.append(Defect(
@@ -190,71 +248,105 @@ def check_proof(t: ProofTree, logic: Logic) -> list[Defect]:
         if node.rule is None:
             if node.children or node.axiom is None:
                 defects.append(Defect("NonAxiomLeaf", sequent_text(s)))
-            elif not _axiom_fits(s, node.axiom):
+            elif not axiom_fits(s, node.axiom):
                 defects.append(Defect(
                     "BadAxiom", f"{node.axiom} does not fit {sequent_text(s)}"))
             return
         if node.axiom is not None:
             defects.append(Defect("MalformedNode", sequent_text(s)))
             return
-        if not classify(s, Calculus.LIEL, logic).is_active:
-            defects.append(Defect(
-                "RuleOnTerminal", f"{node.rule} on terminal {sequent_text(s)}"))
+        stop = cannot_fire(node)
+        if stop is not None:
+            defects.append(stop)
             return
-        got = tuple(c.sequent for c in node.children)
-        ok = any(inst.premises == got
-                 for inst in instantiations(s, logic) if inst.rule == node.rule)
-        if not ok:
-            defects.append(Defect(
-                "BadInstantiation", f"{node.rule} on {sequent_text(s)}"))
+        bad = bad_premises(node)
+        if bad is not None:
+            defects.append(bad)
         for child in node.children:
             visit(child)
 
     visit(t)
-    if proof_depth(t) > sequent_connectives(root):
+    if derivation_depth(t) > sequent_connectives(root):
         defects.append(Defect(
             "DepthBound",
-            f"depth {proof_depth(t)} exceeds {sequent_connectives(root)} connectives"))
+            f"depth {derivation_depth(t)} exceeds {sequent_connectives(root)} connectives"))
     return defects
+
+
+def _axiom_fits(s: Sequent, name: str) -> bool:
+    if name in ("Irr", "eIrr"):
+        return BOT in s.gamma and s.e_flag == name.startswith("e")
+    if name in ("Id", "eId"):
+        return bool(s.gamma & s.delta) and s.e_flag == name.startswith("e")
+    return False
+
+
+def check_proof(t: Derivation, logic: Logic) -> list[Defect]:
+    """Validate a proof tree: axiom leaves, schema-valid rule nodes, depth
+    bounded by the connective count of the root, and the subformula
+    property relative to the root sequent (falsum always allowed)."""
+
+    def cannot_fire(node: Derivation) -> Optional[Defect]:
+        if classify(node.sequent, Calculus.LIEL, logic).is_active:
+            return None
+        return Defect("RuleOnTerminal", f"{node.rule} on terminal {sequent_text(node.sequent)}")
+
+    def bad_premises(node: Derivation) -> Optional[Defect]:
+        got = tuple(c.sequent for c in node.children)
+        if any(inst.premises == got for inst in rule_instances(node.rule, node.sequent, logic)):
+            return None
+        return Defect("BadInstantiation", f"{node.rule} on {sequent_text(node.sequent)}")
+
+    return check_derivation(t, _axiom_fits, cannot_fire, bad_premises)
 
 
 # ---------------------------------------------------------------------------
 # Text and JSON forms
 # ---------------------------------------------------------------------------
 
-def proof_text(t: ProofTree, indent: int = 0) -> str:
+def derivation_text(t: Derivation, indent: int = 0) -> str:
     pad = "  " * indent
     tag = f"({t.axiom})" if t.axiom is not None else f"[{t.rule}]"
     lines = [f"{pad}{sequent_text(t.sequent)}  {tag}"]
     for child in t.children:
-        lines.append(proof_text(child, indent + 1))
+        lines.append(derivation_text(child, indent + 1))
     return "\n".join(lines)
 
 
-def proof_to_json(t: ProofTree) -> dict:
+def derivation_to_json(t: Derivation) -> dict:
     return {
         "sequent": sequent_to_json(t.sequent),
         "rule": t.rule,
         "axiom": t.axiom,
-        "children": [proof_to_json(c) for c in t.children],
+        "children": [derivation_to_json(c) for c in t.children],
     }
 
 
-def proof_from_json(obj: object) -> ProofTree:
+proof_to_json = derivation_to_json
+
+
+def derivation_from_json(obj: object, rules: tuple[str, ...], axioms: tuple[str, ...],
+                         kind: str) -> Derivation:
+    """Decode a derivation whose rule and axiom names must come from the
+    given tables; kind ("proof" or "refutation") names it in errors."""
     if not isinstance(obj, dict) or "sequent" not in obj:
-        raise ValueError(f"not a proof object: {obj!r}")
+        raise ValueError(f"not a {kind} object: {obj!r}")
     rule = obj.get("rule")
     axiom = obj.get("axiom")
-    if rule is not None and rule not in RULES:
+    if rule is not None and rule not in rules:
         raise ValueError(f"unknown rule: {rule!r}")
-    if axiom is not None and axiom not in AXIOMS:
+    if axiom is not None and axiom not in axioms:
         raise ValueError(f"unknown axiom: {axiom!r}")
     children = obj.get("children", [])
     if not isinstance(children, list):
-        raise ValueError("proof 'children' must be a list")
-    return ProofTree(
+        raise ValueError(f"{kind} 'children' must be a list")
+    return Derivation(
         sequent_from_json(obj["sequent"]),
         rule,
         axiom,
-        tuple(proof_from_json(c) for c in children),
+        tuple(derivation_from_json(c, rules, axioms, kind) for c in children),
     )
+
+
+def proof_from_json(obj: object) -> Derivation:
+    return derivation_from_json(obj, RULES, AXIOMS, "proof")

@@ -12,8 +12,8 @@ from ielprove.formula import connective_count, parse, render
 from ielprove.kripke import check_frame, depth, forces, satisfies
 from ielprove.oracle import brute_force_invalid, random_formulas
 from ielprove.prover import Countermodel, Proof, decide, prove_or_refute_formula
-from ielprove.refuter import Refutation, check_refutation, extract_model, refutation_depth
-from ielprove.rules import check_proof, proof_depth
+from ielprove.refuter import Refutation, check_refutation, extract_model
+from ielprove.rules import check_proof, derivation_depth
 from ielprove.sequent import Logic, Sequent
 
 SEED = 20240817
@@ -102,13 +102,13 @@ def test_criterion_4_certificate_structure(formulas500, corpus_formulas):
         bound = connective_count(f)
         out = decide(f, logic)
         if isinstance(out, Proof):
-            if proof_depth(out.tree) > bound:
+            if derivation_depth(out.tree) > bound:
                 failures.append(f"proof depth exceeds bound: {render(f)}")
             if check_proof(out.tree, logic):
                 failures.append(f"proof rejected: {render(f)}")
         ref = prove_or_refute_formula(f, logic)
         if isinstance(ref, Refutation):
-            if refutation_depth(ref) > bound:
+            if derivation_depth(ref) > bound:
                 failures.append(f"refutation depth exceeds bound: {render(f)}")
             if check_refutation(ref, logic):
                 failures.append(f"refutation rejected: {render(f)}")

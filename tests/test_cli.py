@@ -242,6 +242,20 @@ def test_deterministic_across_processes(argv):
     assert runs[0].returncode == runs[1].returncode
 
 
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    codes = [run(capsys, "decide", "K a -> a")[0] for _ in range(5)]
+    assert codes == [1] * 5 and len(built) == 1
+
+
 def run_process(*argv):
     """Run the CLI in a fresh interpreter, as a user would."""
     return subprocess.run([sys.executable, "-m", "ielprove.cli", *argv],

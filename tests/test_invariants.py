@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 from conftest import formulas
 from ielprove import rules
 from ielprove.formula import And, Bottom, Imp, K, Or, Var, parse, render
-from ielprove.rules import Instantiation, instantiations
+from ielprove.prover import piel
+from ielprove.rules import instantiations
 from ielprove.sequent import Calculus, Logic, Sequent, classify, sequent
 
 
@@ -81,12 +82,14 @@ class TestShrinkCheck:
     def test_non_shrinking_premise_is_rejected(self, monkeypatch):
         s = sequent([], [], [parse("a -> b")])
 
-        def stuck(s, logic):
-            yield Instantiation("ImpR", tuple(s.delta), (s,))
+        def stuck(s):
+            yield tuple(s.delta), (s,)
 
-        monkeypatch.setattr(rules, "_enumerate", stuck)
+        monkeypatch.setitem(rules.RULE_TABLE, "ImpR", stuck)
         with pytest.raises(AssertionError, match="premise failed to shrink"):
             instantiations(s, Logic.IEL)
+        with pytest.raises(AssertionError, match="premise failed to shrink"):
+            piel(s, Logic.IEL)
 
     def test_check_survives_optimised_mode(self):
         code = (
@@ -94,8 +97,7 @@ class TestShrinkCheck:
             "from ielprove.formula import parse\n"
             "from ielprove.sequent import Logic, sequent\n"
             "s = sequent([], [], [parse('a -> b')])\n"
-            "rules._enumerate = lambda s, logic: iter("
-            "[rules.Instantiation('ImpR', (), (s,))])\n"
+            "rules.RULE_TABLE['ImpR'] = lambda s: iter([((), (s,))])\n"
             "try:\n"
             "    rules.instantiations(s, Logic.IEL)\n"
             "except AssertionError:\n"

@@ -11,7 +11,7 @@ from ielprove.kripke import check_frame, depth, model_to_json, satisfies, single
 from ielprove.oracle import random_formulas
 from ielprove.prover import Countermodel, Proof, decide, piel, prove_or_refute_formula
 from ielprove.refuter import refutation_to_json
-from ielprove.rules import check_proof, proof_depth, proof_to_json, sequent_connectives
+from ielprove.rules import check_proof, derivation_depth, proof_to_json, sequent_connectives
 from ielprove.sequent import Logic, Sequent, sequent
 
 a = Var("a")
@@ -106,7 +106,7 @@ class TestCertificates:
             out = decide(f, logic)
             if isinstance(out, Proof):
                 assert check_proof(out.tree, logic) == []
-                assert proof_depth(out.tree) <= sequent_connectives(out.tree.sequent)
+                assert derivation_depth(out.tree) <= sequent_connectives(out.tree.sequent)
             else:
                 m = out.model
                 assert check_frame(m, logic) == []

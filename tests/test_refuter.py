@@ -8,7 +8,7 @@ from ielprove.refuter import (
     Refutation,
     check_refutation,
     extract_model,
-    glue_instance,
+    glue_premises,
     refutation_from_json,
     refutation_to_json,
 )
@@ -98,11 +98,11 @@ class TestCheckRefutation:
 
     def test_glue_premises_must_match_exactly(self):
         s = sequent([], [parse("a -> b")], [Var("c")])
-        gi = glue_instance(s)
-        assert len(gi.premises) == 1
+        premises = glue_premises(s, Logic.IEL)
+        assert len(premises) == 1
         t = Refutation(s, "Glue", None, (
-            Refutation(gi.premises[0], None, "Sat", ()),
-            Refutation(gi.premises[0], None, "Sat", ()),
+            Refutation(premises[0], None, "Sat", ()),
+            Refutation(premises[0], None, "Sat", ()),
         ))
         assert any(d.kind == "BadInstantiation" for d in check_refutation(t, Logic.IEL))
 
