@@ -47,7 +47,8 @@ def _logic(args: argparse.Namespace) -> Logic:
 def _read_formula(args: argparse.Namespace) -> Formula:
     if args.file is not None:
         try:
-            text = open(args.file, encoding="utf-8").read()
+            with open(args.file, encoding="utf-8") as handle:
+                text = handle.read()
         except OSError as exc:
             raise CliError(f"cannot read {args.file}: {exc}") from exc
     elif args.formula is not None:
@@ -246,7 +247,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     try:
-        lines = open(args.corpus, encoding="utf-8").read().splitlines()
+        with open(args.corpus, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise CliError(f"cannot read {args.corpus}: {exc}") from exc
     total = 0

@@ -3,8 +3,9 @@
 Models are posets with a root, a monotone valuation and a second relation E
 constrained by Im1 (E is a subrelation of the order), Im2 (E-edges are
 inherited downwards along the order) and, for IEL only, Im3 (every world has
-an E-successor).  The two glue constructions put a fresh root below existing
-models; they are the semantic counterpart of branching in proof search.
+an E-successor).  The glue construction puts a fresh root below existing
+models; it is the semantic counterpart of the Glue and KL2 refutational
+rules.
 """
 
 from __future__ import annotations
@@ -232,22 +233,6 @@ def glue(root_vars: Iterable[str], submodels: Sequence[KripkeModel],
         e_rel.add((0, roots[i]))
     if reflexive_root_e:
         e_rel.add((0, 0))
-    return KripkeModel(frozenset(worlds), 0, frozenset(leq), frozenset(e_rel), valuation)
-
-
-def glue_kl(root_vars: Iterable[str], sub: KripkeModel) -> KripkeModel:
-    """Fresh root below sub whose E-edges copy those of sub's root."""
-    rv = frozenset(root_vars)
-    if not rv <= sub.valuation.get(sub.root, frozenset()):
-        raise ValueError("root valuation violates persistence")
-    ren = {w: 1 + i for i, w in enumerate(sorted(sub.worlds))}
-    worlds = {0} | set(ren.values())
-    leq = {(0, w) for w in worlds} | {(ren[a], ren[b]) for a, b in sub.leq}
-    e_rel = {(ren[a], ren[b]) for a, b in sub.e_rel}
-    e_rel |= {(0, ren[b]) for a, b in sub.e_rel if a == sub.root}
-    valuation = {0: rv}
-    for w, vs in sub.valuation.items():
-        valuation[ren[w]] = vs
     return KripkeModel(frozenset(worlds), 0, frozenset(leq), frozenset(e_rel), valuation)
 
 

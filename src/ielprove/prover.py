@@ -1,12 +1,14 @@
 """Decision procedures for IEL and IEL-.
 
-One recursive search drives both certificate styles: a proof of the
-validity calculus when the sequent is provable, otherwise a countermodel of
-minimal depth together with the refutation of the branch that produced it.
-The search handles invertible rules first, then loops over the
-implication/K-right rules collecting models of rightmost premises (glued
-under a fresh root) and models of the remaining premises (which satisfy the
-conclusion directly), and finally falls back to the left K rule under IEL.
+One recursive search builds derivations only: a proof of the validity
+calculus when the sequent is provable, otherwise a refutation together
+with the depth of the Kripke model it maps onto.  The search handles
+invertible rules first, then the implication/K-right rules, and finally
+falls back to the left K rule under IEL.  At every such node one routine
+(_choose) makes the minimal-depth choice between the refutations of the
+premises and the Glue of all rightmost premises.  piel and decide build
+the countermodel once, from the refutation the search returns
+(refuter.refutation_model).
 """
 
 from __future__ import annotations
@@ -15,17 +17,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .formula import Formula
-from .kripke import KripkeModel, depth, glue, glue_kl, single_world
-from .refuter import Refutation
+from .kripke import KripkeModel
+from .refuter import Refutation, refutation_model
 from .rules import REFUTATIONS, Instantiation, ProofTree, axiom_leaf, rule_instances, rule_node
-from .sequent import (
-    Logic,
-    Sequent,
-    gamma_vars,
-    liel_axiom,
-    liel_flat,
-    riel_axiom,
-)
+from .sequent import Logic, Sequent, liel_axiom, liel_flat, riel_axiom
 
 
 @dataclass(frozen=True)
@@ -43,9 +38,10 @@ Outcome = Union[Proof, Countermodel]
 
 @dataclass
 class _Res:
+    """A proof, or a refutation and the depth of the model it maps onto."""
     proof: Optional[ProofTree] = None
-    model: Optional[KripkeModel] = None
     refutation: Optional[Refutation] = None
+    depth: int = 0
 
 
 _INVERTIBLE = ("AndL", "OrR", "eAndL", "eOrR", "eKL", "eKR",
@@ -61,7 +57,7 @@ def _search(s: Sequent, logic: Logic, memo: dict[Sequent, _Res]) -> _Res:
     if hit is not None:
         return hit
     res = _step(s, logic, memo)
-    assert (res.proof is not None) != (res.model is not None)
+    assert (res.proof is not None) != (res.refutation is not None)
     memo[s] = res
     return res
 
@@ -71,79 +67,55 @@ def _step(s: Sequent, logic: Logic, memo: dict[Sequent, _Res]) -> _Res:
     if name is not None:
         return _Res(proof=axiom_leaf(s, name))
     if liel_flat(s, logic):
-        reflexive = logic is Logic.IEL or s.e_flag
         sat = riel_axiom(s, logic)
         assert sat is not None
-        return _Res(model=single_world(gamma_vars(s), reflexive),
-                    refutation=axiom_leaf(s, sat))
+        return _Res(refutation=axiom_leaf(s, sat), depth=1)
 
     # Invertible rules, single-premise ones first.
     for rule in _INVERTIBLE:
         inst = next(rule_instances(rule, s, logic), None)
         if inst is not None:
-            return _each_premise(s, inst, logic, memo)
+            return _choose(s, [inst], logic, memo)
 
-    # The non-invertible loop.
     insts = [inst for rule in _NONINVERTIBLE for inst in rule_instances(rule, s, logic)]
-    if insts:
-        inv: list[tuple[KripkeModel, Refutation]] = []
-        noninv: list[tuple[KripkeModel, Refutation, bool]] = []
-        for inst in insts:
-            subs = [_search(p, logic, memo) for p in inst.premises]
-            if all(sub.proof is not None for sub in subs):
-                return _Res(proof=rule_node(s, inst.rule, tuple(x.proof for x in subs)))
-            for i, sub in enumerate(subs[:-1]):
-                if sub.model is not None:
-                    name = REFUTATIONS[(inst.rule, i)]
-                    inv.append((sub.model, rule_node(s, name, (sub.refutation,))))
-            last = subs[-1]
-            if last.model is not None:
-                noninv.append((last.model, last.refutation, inst.rule == "KR"))
-
-        def glued() -> tuple[KripkeModel, Refutation]:
-            model = glue(gamma_vars(s), [m for m, _, _ in noninv], s.e_flag,
-                         e_link_roots=[i for i, (_, _, kr) in enumerate(noninv) if kr])
-            ref = rule_node(s, "eGlue" if s.e_flag else "Glue",
-                            tuple(r for _, r, _ in noninv))
-            return model, ref
-
-        if not inv:
-            assert len(noninv) == len(insts)
-            model, ref = glued()
-            return _Res(model=model, refutation=ref)
-        u_model, u_ref = min(inv, key=lambda pair: depth(pair[0]))
-        if len(noninv) < len(insts):
-            # Some rightmost premise was provable; no glue candidate exists.
-            return _Res(model=u_model, refutation=u_ref)
-        m_model, m_ref = glued()
-        if depth(m_model) < depth(u_model):
-            return _Res(model=m_model, refutation=m_ref)
-        return _Res(model=u_model, refutation=u_ref)
-
-    # Left K rule, IEL only; reached exactly when the second compartment is
-    # variables and K-formulas and the third is atomic.
-    inst = next(rule_instances("KL", s, logic), None)
-    assert inst is not None, f"active sequent with no applicable rule: {s}"
-    return _each_premise(s, inst, logic, memo)
+    if not insts:
+        # Left K rule, IEL only; reached exactly when the second compartment
+        # is variables and K-formulas and the third is atomic.
+        inst = next(rule_instances("KL", s, logic), None)
+        assert inst is not None, f"active sequent with no applicable rule: {s}"
+        insts = [inst]
+    return _choose(s, insts, logic, memo)
 
 
-def _each_premise(s: Sequent, inst: Instantiation, logic: Logic,
-                  memo: dict[Sequent, _Res]) -> _Res:
-    """Decide s by a rule instance each of whose premises refutes s on its
-    own: a proof if every premise is provable, otherwise the shallowest
-    model of the conclusion (ties to the first premise).  A model of a
-    premise satisfies the conclusion directly, except that a model of KL's
-    second premise is first glued under a fresh root."""
-    subs = [_search(p, logic, memo) for p in inst.premises]
-    if all(x.proof is not None for x in subs):
-        return _Res(proof=rule_node(s, inst.rule, tuple(x.proof for x in subs)))
-    refuted = []
-    for i, x in enumerate(subs):
-        if x.model is not None:
+def _choose(s: Sequent, insts: list[Instantiation], logic: Logic,
+            memo: dict[Sequent, _Res]) -> _Res:
+    """Decide s by its rule instances: a proof by the first instance whose
+    premises are all provable, otherwise the refutation of least depth,
+    ties to the first.  A refuted premise refutes s on its own (KL2 adds a
+    world below its model), except a rightmost premise of ImpL, ImpR or KR:
+    those are glued under a fresh root, and only when every instance's is
+    refuted; the Glue candidate comes last."""
+    candidates: list[_Res] = []
+    glued: list[_Res] = []
+    for inst in insts:
+        subs = [_search(p, logic, memo) for p in inst.premises]
+        if all(x.proof is not None for x in subs):
+            return _Res(proof=rule_node(s, inst.rule, tuple(x.proof for x in subs)))
+        for i, x in enumerate(subs):
+            if x.refutation is None:
+                continue
             name = REFUTATIONS[(inst.rule, i)]
-            model = glue_kl(gamma_vars(s), x.model) if name == "KL2" else x.model
-            refuted.append(_Res(model=model, refutation=rule_node(s, name, (x.refutation,))))
-    return min(refuted, key=lambda r: depth(r.model))
+            if name in ("Glue", "eGlue"):
+                glued.append(x)
+            else:
+                candidates.append(_Res(refutation=rule_node(s, name, (x.refutation,)),
+                                       depth=x.depth + (name == "KL2")))
+    if len(glued) == len(insts):
+        candidates.append(_Res(
+            refutation=rule_node(s, "eGlue" if s.e_flag else "Glue",
+                                 tuple(x.refutation for x in glued)),
+            depth=1 + max(x.depth for x in glued)))
+    return min(candidates, key=lambda r: r.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +124,12 @@ def _each_premise(s: Sequent, inst: Instantiation, logic: Logic,
 
 def piel(s: Sequent, logic: Logic) -> Outcome:
     """Decide a sequent: a proof if it is provable, otherwise a Kripke
-    countermodel of minimal depth whose root satisfies it."""
+    countermodel of minimal depth whose root satisfies it, built from the
+    refutation that prove_or_refute returns."""
     res = _search(s, logic, {})
     if res.proof is not None:
         return Proof(res.proof)
-    return Countermodel(res.model)
+    return Countermodel(refutation_model(res.refutation, logic))
 
 
 def decide(f: Formula, logic: Logic) -> Outcome:
@@ -167,8 +140,8 @@ def decide(f: Formula, logic: Logic) -> Outcome:
 def prove_or_refute(s: Sequent, logic: Logic) -> Union[Proof, Refutation]:
     """The combined procedure: a proof of the validity calculus or a
     refutation in the refutational calculus, never both.  Returns a proof
-    exactly when piel does; the refutation follows the branch that produced
-    piel's countermodel."""
+    exactly when piel does; piel's countermodel is this refutation's
+    model."""
     res = _search(s, logic, {})
     if res.proof is not None:
         return Proof(res.proof)

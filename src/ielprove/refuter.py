@@ -1,12 +1,12 @@
 """The refutational calculi for IEL and IEL-.
 
 Refutations are rule-labelled trees whose leaves are satisfiable flat
-shapes (Sat/eSat, plus kSat under IEL-); a valid refutation maps
-constructively to a Kripke countermodel.  Every refutational rule refutes
-one premise of a validity rule (rules.REFUTATIONS), so this module holds
-only the refutational names, the Glue check, the refutation checker and
-the model extraction; the combined search procedure that emits
-refutations lives in prover.py next to the proof search it mirrors.
+shapes (Sat/eSat, plus kSat under IEL-); a refutation maps constructively
+onto a Kripke countermodel (refutation_model), and this mapping is the one
+place countermodels are built: the search in prover.py emits refutations
+only.  Every refutational rule refutes one premise of a validity rule
+(rules.REFUTATIONS), so this module holds only the refutational names, the
+Glue check, the refutation checker and the model mapping.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .formula import BOT, Bottom, Imp, K, Var
-from .kripke import KripkeModel, glue, glue_kl, single_world
+from .formula import Bottom, Imp, K, Var
+from .kripke import KripkeModel, glue, single_world
 from .rules import (
     REFUTATIONS,
     Defect,
@@ -25,7 +25,7 @@ from .rules import (
     derivation_to_json,
     rule_instances,
 )
-from .sequent import Logic, Sequent, gamma_vars, riel_axiom, sequent_text
+from .sequent import Logic, Sequent, gamma_vars, riel_axiom, riel_flat, sequent_text
 
 Refutation = Derivation
 
@@ -73,7 +73,7 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
             return Defect("BadRule", repr(rule))
         if logic is Logic.IEL_MINUS and rule in ("KL1", "KL2"):
             return Defect("BadRule", f"{rule} is not available under IEL-")
-        if BOT in s.gamma or (s.gamma & s.delta):
+        if riel_flat(s):
             return Defect("ProvisoViolation", f"{rule} fired on {sequent_text(s)}")
         return None
 
@@ -107,31 +107,29 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
 # ---------------------------------------------------------------------------
 
 def extract_model(t: Refutation, logic: Logic) -> KripkeModel:
-    """Countermodel construction: leaves become single worlds, KL2 and
-    Glue/eGlue become the corresponding glue constructions, every other
-    rule passes the child model through.  The root of the result satisfies
-    the root sequent of the refutation."""
+    """Check t, then map it onto its countermodel (refutation_model)."""
     defects = check_refutation(t, logic)
     if defects:
         raise ValueError(f"invalid refutation: {defects[0]}")
-    return _extract(t, logic)
+    return refutation_model(t, logic)
 
 
-def _extract(t: Refutation, logic: Logic) -> KripkeModel:
+def refutation_model(t: Refutation, logic: Logic) -> KripkeModel:
+    """Countermodel construction, for a refutation known to be valid (it is
+    not checked): leaves become single worlds, Glue/eGlue and KL2 glue the
+    models of their children under a fresh root, every other rule passes
+    its child's model through.  The root of the result satisfies the root
+    sequent of the refutation."""
+    s = t.sequent
     if not t.children:
-        if t.axiom == "kSat":
-            return single_world(gamma_vars(t.sequent), False)
-        return single_world(gamma_vars(t.sequent),
-                            logic is Logic.IEL or t.sequent.e_flag)
-    if t.rule in ("Glue", "eGlue"):
-        subs = [_extract(c, logic) for c in t.children]
-        k_right = {inst.premises[-1] for inst in rule_instances("KR", t.sequent, logic)}
+        return single_world(gamma_vars(s), logic is Logic.IEL or s.e_flag)
+    if t.rule in ("Glue", "eGlue", "KL2"):
+        # A KL2 sequent is plain with an atomic third compartment: no KR links.
+        subs = [refutation_model(c, logic) for c in t.children]
+        k_right = {inst.premises[-1] for inst in rule_instances("KR", s, logic)}
         links = [i for i, c in enumerate(t.children) if c.sequent in k_right]
-        return glue(gamma_vars(t.sequent), subs, t.sequent.e_flag,
-                    e_link_roots=links)
-    if t.rule == "KL2":
-        return glue_kl(gamma_vars(t.sequent), _extract(t.children[0], logic))
-    return _extract(t.children[0], logic)
+        return glue(gamma_vars(s), subs, s.e_flag, e_link_roots=links)
+    return refutation_model(t.children[0], logic)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The invariants the search and its memo table lean on: stored formula hashes,
-stored sequent sizes, and the premise-shrink check in instantiations."""
+stored sequent sizes, the premise-shrink check in instantiations, and the
+model depth carried next to each refutation."""
 
 import subprocess
 import sys
@@ -10,7 +11,10 @@ from hypothesis import given, strategies as st
 from conftest import formulas
 from ielprove import rules
 from ielprove.formula import And, Bottom, Imp, K, Or, Var, parse, render
-from ielprove.prover import piel
+from ielprove.kripke import depth
+from ielprove.oracle import random_formulas
+from ielprove.prover import _search, piel
+from ielprove.refuter import refutation_model
 from ielprove.rules import instantiations
 from ielprove.sequent import Calculus, Logic, Sequent, classify, sequent
 
@@ -76,6 +80,22 @@ class TestFormulaHash:
         a, b = Var("a"), Var("b")
         shapes = [And(a, b), Or(a, b), Imp(a, b), And(b, a), K(a), a]
         assert len({hash(f) for f in shapes}) == len(shapes)
+
+
+class TestCarriedDepth:
+    def test_memo_depths_match_the_models(self):
+        deep = parse("K c | (K c -> K b | (K b -> K a | ~K a))")  # depth 4
+        refuted = 0
+        for f in [deep, *random_formulas(60, seed=77)]:
+            for logic in Logic:
+                memo = {}
+                _search(Sequent(delta=frozenset({f})), logic, memo)
+                for s, res in memo.items():
+                    if res.refutation is not None:
+                        refuted += 1
+                        model = refutation_model(res.refutation, logic)
+                        assert res.depth == depth(model), (render(f), s)
+        assert refuted > 500
 
 
 class TestShrinkCheck:

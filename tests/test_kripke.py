@@ -9,7 +9,6 @@ from ielprove.kripke import (
     depth,
     forces,
     glue,
-    glue_kl,
     model_from_json,
     model_to_dot,
     model_to_json,
@@ -179,20 +178,23 @@ class TestGlue:
 
 
 class TestGlueKl:
+    """Single-submodel glue without a reflexive root: the KL2 construction."""
+
     def test_builds_classical_reflection_model(self, classical_reflection_model):
-        m = glue_kl([], single_world(["a"], True))
+        m = glue([], [single_world(["a"], True)], False)
         assert m == classical_reflection_model
 
     def test_frame_conditions(self):
-        rng = random.Random(9)
-        pool = list(enumerate_models(frozenset({"a"}), 2, Logic.IEL))
-        for _ in range(100):
-            m = glue_kl([], rng.choice(pool))
-            assert check_frame(m, Logic.IEL) == []
+        for logic in Logic:
+            for sub in enumerate_models(frozenset({"a"}), 2, logic):
+                m = glue([], [sub], False)
+                assert check_frame(m, logic) == []
+                ren = {w: 1 + i for i, w in enumerate(sorted(sub.worlds))}
+                assert set(m.e_up(0)) == {ren[v] for v in sub.e_up(sub.root)}
 
     def test_persistence_guard(self):
         with pytest.raises(ValueError):
-            glue_kl(["p"], single_world([], True))
+            glue(["p"], [single_world([], True)], False)
 
 
 class TestForms:

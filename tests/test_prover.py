@@ -9,8 +9,15 @@ import pytest
 from ielprove.formula import K, Var, parse, render
 from ielprove.kripke import check_frame, depth, model_to_json, satisfies, single_world
 from ielprove.oracle import random_formulas
-from ielprove.prover import Countermodel, Proof, decide, piel, prove_or_refute_formula
-from ielprove.refuter import refutation_to_json
+from ielprove.prover import (
+    Countermodel,
+    Proof,
+    decide,
+    piel,
+    prove_or_refute,
+    prove_or_refute_formula,
+)
+from ielprove.refuter import extract_model, refutation_to_json
 from ielprove.rules import check_proof, derivation_depth, proof_to_json, sequent_connectives
 from ielprove.sequent import Logic, Sequent, sequent
 
@@ -128,6 +135,30 @@ class TestCertificates:
         out = piel(s, Logic.IEL)
         assert isinstance(out, Countermodel)
         assert satisfies(out.model, out.model.root, s)
+
+
+class TestOneModelPerRefutation:
+    """piel's countermodel is the model of prove_or_refute's refutation."""
+
+    @staticmethod
+    def _same_model(s: Sequent):
+        for logic in Logic:
+            out = piel(s, logic)
+            if isinstance(out, Countermodel):
+                assert out.model == extract_model(prove_or_refute(s, logic), logic)
+
+    def test_impr_and_kr_share_a_rightmost_premise(self):
+        # An ImpR and a KR instance share their rightmost premise; the KR
+        # E-link from the glued root to that premise's model must be kept.
+        s = sequent([K(a), a], [parse("a -> K b")],
+                    [parse("K a -> b"), parse("K b"), parse("K b -> b")])
+        for logic in Logic:
+            assert isinstance(piel(s, logic), Countermodel)
+        self._same_model(s)
+
+    def test_golden_formulas(self):
+        for f in random_formulas(80, seed=31337):
+            self._same_model(Sequent(delta=frozenset({f})))
 
 
 class TestGoldenCertificates:
