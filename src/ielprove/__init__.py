@@ -18,20 +18,19 @@ from .formula import (
 )
 from .kripke import KripkeModel, check_frame, depth, forces, satisfies
 from .oracle import brute_force_invalid, crosscheck, enumerate_models
-from .prover import Countermodel, Outcome, Proof, decide, piel, prove_or_refute
+from .prover import Countermodel, Outcome, Proof, decide, outcome_defect, piel, prove_or_refute
 from .refuter import Refutation, check_refutation, extract_model
-from .rules import ProofTree, check_proof, instantiations
-from .sequent import Calculus, Logic, Sequent, classify, sequent
+from .rules import Derivation, check_proof, instantiations
+from .sequent import Logic, Sequent, sequent
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "And", "BOT", "Bottom", "Calculus", "Countermodel", "Formula",
+    "And", "BOT", "Bottom", "Countermodel", "Derivation", "Formula",
     "FormulaSyntaxError", "Imp", "K", "KripkeModel", "Logic", "Or", "Outcome",
-    "Proof", "ProofTree", "Refutation", "Sequent", "Var",
-    "brute_force_invalid", "check_frame", "check_proof", "check_refutation",
-    "classify", "connective_count", "crosscheck", "decide", "depth",
-    "enumerate_models", "extract_model", "forces", "instantiations", "parse",
-    "piel", "prove_or_refute", "render", "satisfies", "sequent",
-    "subformulas",
+    "Proof", "Refutation", "Sequent", "Var", "brute_force_invalid",
+    "check_frame", "check_proof", "check_refutation", "connective_count",
+    "crosscheck", "decide", "depth", "enumerate_models", "extract_model",
+    "forces", "instantiations", "outcome_defect", "parse", "piel",
+    "prove_or_refute", "render", "satisfies", "sequent", "subformulas",
 ]

@@ -15,17 +15,9 @@ from functools import lru_cache
 from typing import Optional
 
 from .formula import Formula, FormulaSyntaxError, parse, render
-from .kripke import (
-    KripkeModel,
-    check_frame,
-    model_from_json,
-    model_text,
-    model_to_dot,
-    model_to_json,
-    satisfies,
-)
+from .kripke import check_frame, model_from_json, model_text, model_to_dot, model_to_json
 from .oracle import crosscheck, oracle_report_to_json, random_formulas
-from .prover import Proof, decide, prove_or_refute_formula
+from .prover import Countermodel, Outcome, Proof, decide, outcome_defect, prove_or_refute_formula
 from .refuter import (
     check_refutation,
     extract_model,
@@ -33,7 +25,7 @@ from .refuter import (
     refutation_to_json,
 )
 from .rules import check_proof, derivation_text, proof_from_json, proof_to_json
-from .sequent import Logic, Sequent
+from .sequent import Logic
 
 
 class CliError(Exception):
@@ -75,18 +67,23 @@ def _emit_json(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _verified_countermodel(f: Formula, model: KripkeModel, logic: Logic) -> None:
-    violations = check_frame(model, logic)
-    if violations:
-        raise CliError(f"internal checker defect: {violations[0]}")
-    if not satisfies(model, model.root, Sequent(delta=frozenset({f}))):
-        raise CliError("internal checker defect: countermodel does not refute the formula")
+def _verify(f: Formula, outcome: Outcome, logic: Logic) -> None:
+    defect = outcome_defect(f, outcome, logic)
+    if defect is not None:
+        raise CliError(f"internal checker defect: {defect}")
 
 
-def _verified_proof(tree, logic: Logic) -> None:
-    defects = check_proof(tree, logic)
-    if defects:
-        raise CliError(f"internal checker defect: {defects[0]}")
+def _print_proof(args: argparse.Namespace, f: Formula, proof: Proof, note: str = "") -> int:
+    logic = _logic(args)
+    _verify(f, proof, logic)
+    if args.format == "json":
+        _emit_json({"status": "valid", "proof": proof_to_json(proof.tree)})
+    elif args.format == "dot":
+        raise CliError("dot output needs a model certificate; the formula is valid")
+    else:
+        print(f"valid ({logic.value}): {render(f)}{note}")
+        print(derivation_text(proof.tree))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +95,9 @@ def _cmd_decide(args: argparse.Namespace, print_model: bool = True) -> int:
     logic = _logic(args)
     outcome = decide(f, logic)
     if isinstance(outcome, Proof):
-        _verified_proof(outcome.tree, logic)
-        if args.format == "json":
-            _emit_json({"status": "valid", "proof": proof_to_json(outcome.tree)})
-        elif args.format == "dot":
-            raise CliError("dot output needs a model certificate; the formula is valid")
-        else:
-            print(f"valid ({logic.value}): {render(f)}")
-            print(derivation_text(outcome.tree))
-        return 0
+        return _print_proof(args, f, outcome)
+    _verify(f, outcome, logic)
     model = outcome.model
-    _verified_countermodel(f, model, logic)
     if not print_model:
         if args.format == "json":
             _emit_json({"status": "invalid"})
@@ -134,18 +123,12 @@ def _cmd_refute(args: argparse.Namespace) -> int:
     logic = _logic(args)
     out = prove_or_refute_formula(f, logic)
     if isinstance(out, Proof):
-        _verified_proof(out.tree, logic)
-        if args.format == "json":
-            _emit_json({"status": "valid", "proof": proof_to_json(out.tree)})
-        else:
-            print(f"valid ({logic.value}): {render(f)} (no refutation exists)")
-            print(derivation_text(out.tree))
-        return 0
+        return _print_proof(args, f, out, " (no refutation exists)")
     try:
         model = extract_model(out, logic)  # checks the refutation first
     except ValueError as exc:
         raise CliError(f"internal checker defect: {exc}") from exc
-    _verified_countermodel(f, model, logic)
+    _verify(f, Countermodel(model), logic)
     if args.format == "json":
         _emit_json({
             "status": "invalid",
@@ -271,14 +254,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             raise CliError(f"{args.corpus}:{lineno}: {exc}") from exc
         total += 1
         outcome = decide(f, logic)
-        if isinstance(outcome, Proof):
-            got = "valid"
-            certificate_ok = not check_proof(outcome.tree, logic)
-        else:
-            got = "invalid"
-            m = outcome.model
-            certificate_ok = (not check_frame(m, logic)
-                              and satisfies(m, m.root, Sequent(delta=frozenset({f}))))
+        got = "valid" if isinstance(outcome, Proof) else "invalid"
+        certificate_ok = outcome_defect(f, outcome, logic) is None
         ok = got == status and certificate_ok
         failed += 0 if ok else 1
         note = "" if certificate_ok else " (certificate rejected)"

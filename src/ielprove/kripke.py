@@ -11,6 +11,7 @@ rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .formula import And, Bottom, Formula, Imp, K, Or, Var
@@ -30,26 +31,20 @@ class KripkeModel:
 
     def up(self, w: int) -> tuple[int, ...]:
         """Worlds v with w <= v."""
-        return self._succ().get(w, ())
+        return self._succ.get(w, ())
 
     def e_up(self, w: int) -> tuple[int, ...]:
         """Worlds v with w E v."""
-        return self._esucc().get(w, ())
+        return self._esucc.get(w, ())
 
     # Adjacency maps are derived data, cached on first use.
+    @cached_property
     def _succ(self) -> dict[int, tuple[int, ...]]:
-        cache = self.__dict__.get("_succ_cache")
-        if cache is None:
-            cache = _adjacency(self.worlds, self.leq)
-            self.__dict__["_succ_cache"] = cache
-        return cache
+        return _adjacency(self.worlds, self.leq)
 
+    @cached_property
     def _esucc(self) -> dict[int, tuple[int, ...]]:
-        cache = self.__dict__.get("_esucc_cache")
-        if cache is None:
-            cache = _adjacency(self.worlds, self.e_rel)
-            self.__dict__["_esucc_cache"] = cache
-        return cache
+        return _adjacency(self.worlds, self.e_rel)
 
 
 def _adjacency(worlds: frozenset[int], rel: frozenset[Pair]) -> dict[int, tuple[int, ...]]:

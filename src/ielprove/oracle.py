@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .formula import BOT, And, Formula, Imp, K, Or, Var
-from .kripke import KripkeModel, check_frame, depth, forces, satisfies
-from .prover import Proof, decide
-from .rules import check_proof
-from .sequent import Logic, Sequent
+from .formula import BOT, And, Formula, Imp, K, Or, Var, subformulas
+from .kripke import KripkeModel, check_frame, depth, forces
+from .prover import Proof, decide, outcome_defect
+from .sequent import Logic
 
 
 @dataclass
@@ -46,13 +45,7 @@ def oracle_report_to_json(r: OracleReport) -> dict:
 
 
 def variables(f: Formula) -> frozenset[str]:
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, K):
-        return variables(f.body)
-    if isinstance(f, (And, Or, Imp)):
-        return variables(f.left) | variables(f.right)
-    return frozenset()
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, Var))
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +182,17 @@ class CrosscheckReport:
 def crosscheck(f: Formula, logic: Logic, max_worlds: int = 3) -> CrosscheckReport:
     """Run the decision procedure and the oracle against each other.
 
-    A contradiction is flagged when the prover claims validity but the
-    oracle holds a countermodel, when the prover's countermodel fails the
-    frame conditions or does not refute the formula at its root, or when
-    the oracle found a strictly shallower countermodel than the prover's.
+    A contradiction is flagged when outcome_defect rejects the prover's
+    certificate, when the prover claims validity but the oracle holds a
+    countermodel, or when the oracle found a strictly shallower
+    countermodel than the prover's.
     """
     outcome = decide(f, logic)
     problems: list[str] = []
-    model_depth: Optional[int] = None
-    if isinstance(outcome, Proof):
-        defects = check_proof(outcome.tree, logic)
-        if defects:
-            problems.append(f"emitted proof fails its checker: {defects[0]}")
-    else:
-        m = outcome.model
-        model_depth = depth(m)
-        violations = check_frame(m, logic)
-        if violations:
-            problems.append(f"prover countermodel breaks frame conditions: {violations[0]}")
-        elif not satisfies(m, m.root, Sequent(delta=frozenset({f}))):
-            problems.append("prover countermodel does not refute the formula at its root")
+    defect = outcome_defect(f, outcome, logic)
+    if defect is not None:
+        problems.append(f"prover certificate rejected: {defect}")
+    model_depth = None if isinstance(outcome, Proof) else depth(outcome.model)
     report = brute_force_invalid(f, max_worlds, logic)
     if isinstance(outcome, Proof) and report.countermodel is not None:
         problems.append("prover says valid but the oracle found a countermodel")

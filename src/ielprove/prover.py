@@ -8,7 +8,8 @@ falls back to the left K rule under IEL.  At every such node one routine
 (_choose) makes the minimal-depth choice between the refutations of the
 premises and the Glue of all rightmost premises.  piel and decide build
 the countermodel once, from the refutation the search returns
-(refuter.refutation_model).
+(refuter.refutation_model).  outcome_defect is the one test that an
+outcome certifies its verdict.
 """
 
 from __future__ import annotations
@@ -17,15 +18,23 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .formula import Formula
-from .kripke import KripkeModel
+from .kripke import KripkeModel, check_frame, satisfies
 from .refuter import Refutation, refutation_model
-from .rules import REFUTATIONS, Instantiation, ProofTree, axiom_leaf, rule_instances, rule_node
+from .rules import (
+    REFUTATIONS,
+    Derivation,
+    Instantiation,
+    axiom_leaf,
+    check_proof,
+    rule_instances,
+    rule_node,
+)
 from .sequent import Logic, Sequent, liel_axiom, liel_flat, riel_axiom
 
 
 @dataclass(frozen=True)
 class Proof:
-    tree: ProofTree
+    tree: Derivation
 
 
 @dataclass
@@ -39,7 +48,7 @@ Outcome = Union[Proof, Countermodel]
 @dataclass
 class _Res:
     """A proof, or a refutation and the depth of the model it maps onto."""
-    proof: Optional[ProofTree] = None
+    proof: Optional[Derivation] = None
     refutation: Optional[Refutation] = None
     depth: int = 0
 
@@ -150,3 +159,19 @@ def prove_or_refute(s: Sequent, logic: Logic) -> Union[Proof, Refutation]:
 
 def prove_or_refute_formula(f: Formula, logic: Logic) -> Union[Proof, Refutation]:
     return prove_or_refute(Sequent(delta=frozenset({f})), logic)
+
+
+def outcome_defect(f: Formula, outcome: Outcome, logic: Logic) -> Optional[str]:
+    """Why outcome fails to certify its verdict on f, or None if it does: a
+    proof must pass check_proof, a countermodel check_frame, and its root
+    must refute f."""
+    if isinstance(outcome, Proof):
+        defects = check_proof(outcome.tree, logic)
+        return str(defects[0]) if defects else None
+    m = outcome.model
+    violations = check_frame(m, logic)
+    if violations:
+        return str(violations[0])
+    if not satisfies(m, m.root, Sequent(delta=frozenset({f}))):
+        return "countermodel does not refute the formula"
+    return None

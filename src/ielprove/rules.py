@@ -26,10 +26,9 @@ from .formula import (
     subformulas,
 )
 from .sequent import (
-    Calculus,
     Logic,
     Sequent,
-    classify,
+    liel_active,
     sequent_from_json,
     sequent_text,
     sequent_to_json,
@@ -54,19 +53,12 @@ class Derivation:
     children: tuple["Derivation", ...]
 
 
-ProofTree = Derivation
-
-
 def axiom_leaf(s: Sequent, name: str) -> Derivation:
     return Derivation(s, None, name, ())
 
 
 def rule_node(s: Sequent, rule: str, children: tuple[Derivation, ...]) -> Derivation:
     return Derivation(s, rule, None, children)
-
-
-def sequent_connectives(s: Sequent) -> int:
-    return s.size
 
 
 def derivation_depth(t: Derivation) -> int:
@@ -205,7 +197,7 @@ def rule_instances(rule: str, s: Sequent, logic: Logic) -> Iterator[Instantiatio
 def instantiations(s: Sequent, logic: Logic) -> list[Instantiation]:
     """All rule instantiations applicable to an active sequent, in canonical
     order: fixed rule order, principals ordered by rendered text."""
-    if not classify(s, Calculus.LIEL, logic).is_active:
+    if not liel_active(s, logic):
         raise ValueError(f"terminal sequent: {sequent_text(s)}")
     return [inst for rule in RULES for inst in rule_instances(rule, s, logic)]
 
@@ -266,10 +258,9 @@ def check_derivation(t: Derivation,
             visit(child)
 
     visit(t)
-    if derivation_depth(t) > sequent_connectives(root):
+    if derivation_depth(t) > root.size:
         defects.append(Defect(
-            "DepthBound",
-            f"depth {derivation_depth(t)} exceeds {sequent_connectives(root)} connectives"))
+            "DepthBound", f"depth {derivation_depth(t)} exceeds {root.size} connectives"))
     return defects
 
 
@@ -287,7 +278,7 @@ def check_proof(t: Derivation, logic: Logic) -> list[Defect]:
     property relative to the root sequent (falsum always allowed)."""
 
     def cannot_fire(node: Derivation) -> Optional[Defect]:
-        if classify(node.sequent, Calculus.LIEL, logic).is_active:
+        if liel_active(node.sequent, logic):
             return None
         return Defect("RuleOnTerminal", f"{node.rule} on terminal {sequent_text(node.sequent)}")
 

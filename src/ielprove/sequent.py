@@ -1,4 +1,4 @@
-"""Three-compartment sequents and terminal classification.
+"""Three-compartment sequents and their terminal tests.
 
 A sequent <Theta ; Gamma => Delta> has three finite formula sets and an
 E-flag; E-sequents additionally commit their satisfying world to E-reach
@@ -30,11 +30,6 @@ from .formula import (
 class Logic(Enum):
     IEL = "iel"
     IEL_MINUS = "iel-"
-
-
-class Calculus(Enum):
-    LIEL = "liel"
-    RIEL = "riel"
 
 
 @dataclass(frozen=True)
@@ -75,30 +70,8 @@ def _vars_or_k(fs: frozenset[Formula]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Terminal classification
+# Terminal sequents
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TerminalClass:
-    kind: str  # "axiom" | "flat" | "active"
-    axiom: Optional[str] = None
-
-    @property
-    def is_axiom(self) -> bool:
-        return self.kind == "axiom"
-
-    @property
-    def is_flat(self) -> bool:
-        return self.kind == "flat"
-
-    @property
-    def is_active(self) -> bool:
-        return self.kind == "active"
-
-
-FLAT = TerminalClass("flat")
-ACTIVE = TerminalClass("active")
-
 
 def liel_axiom(s: Sequent) -> Optional[str]:
     """Axiom name for the validity calculus, or None.
@@ -127,6 +100,12 @@ def liel_flat(s: Sequent, logic: Logic) -> bool:
     return gamma_ok and _atoms_only(s.delta) and not (s.gamma & s.delta)
 
 
+def liel_active(s: Sequent, logic: Logic) -> bool:
+    """Some rule of the validity calculus applies: s is neither an axiom
+    nor flat."""
+    return liel_axiom(s) is None and not liel_flat(s, logic)
+
+
 def riel_axiom(s: Sequent, logic: Logic) -> Optional[str]:
     """Axiom name for the refutational calculus, or None."""
     disjoint = not (s.gamma & s.delta)
@@ -142,22 +121,6 @@ def riel_flat(s: Sequent) -> bool:
     """No refutational rule applies: falsum on the left, or the second and
     third compartments share a formula."""
     return BOT in s.gamma or bool(s.gamma & s.delta)
-
-
-def classify(s: Sequent, calculus: Calculus, logic: Logic) -> TerminalClass:
-    if calculus is Calculus.LIEL:
-        name = liel_axiom(s)
-        if name is not None:
-            return TerminalClass("axiom", name)
-        if liel_flat(s, logic):
-            return FLAT
-        return ACTIVE
-    name = riel_axiom(s, logic)
-    if name is not None:
-        return TerminalClass("axiom", name)
-    if riel_flat(s):
-        return FLAT
-    return ACTIVE
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from ielprove import cli, refuter
+from ielprove import cli, oracle, prover, refuter
 from ielprove.cli import main
 
 CORPUS = str(Path(__file__).resolve().parent.parent / "corpus" / "paper.txt")
@@ -99,6 +100,11 @@ class TestRefute:
         code, out, _ = run(capsys, "refute", "--format", "json", "a -> K a")
         assert code == 0
         assert json.loads(out)["status"] == "valid"
+
+    def test_dot_on_valid_is_an_error(self, capsys):
+        code, out, err = run(capsys, "refute", "--format", "dot", "a -> K a")
+        assert code == 2 and out == ""
+        assert err == "error: dot output needs a model certificate; the formula is valid\n"
 
     def test_refutation_checked_once(self, capsys, monkeypatch):
         calls = []
@@ -222,6 +228,54 @@ class TestBatch:
         path.write_text("maybe iel K a\n")
         code, _, err = run(capsys, "batch", "--corpus", str(path))
         assert code == 2
+
+
+def _clear_e(outcome):
+    """An IEL countermodel with no E-edges: it breaks Im3."""
+    return prover.Countermodel(replace(outcome.model, e_rel=frozenset()))
+
+
+def _wrong_rule(outcome):
+    """A proof whose root claims a rule that cannot have produced it."""
+    return prover.Proof(replace(outcome.tree, rule="OrR"))
+
+
+class TestRejectedCertificates:
+    """decide answers with a certificate its checker rejects."""
+
+    CASES = [("invalid", "K a -> a", _clear_e), ("valid", "a -> K a", _wrong_rule)]
+
+    @pytest.fixture(params=CASES, ids=["countermodel", "proof"])
+    def case(self, request, monkeypatch):
+        status, formula, tamper = request.param
+        original = prover.decide
+
+        def tampered(f, logic):
+            return tamper(original(f, logic))
+
+        monkeypatch.setattr(cli, "decide", tampered)
+        monkeypatch.setattr(oracle, "decide", tampered)
+        return status, formula
+
+    def test_decide_reports_a_checker_defect(self, capsys, case):
+        code, out, err = run(capsys, "decide", case[1])
+        assert code == 2 and out == ""
+        assert err.startswith("error: internal checker defect: ")
+        assert err.split(": ")[2].startswith(("Im3", "BadInstantiation"))
+
+    def test_batch_fails_the_record(self, capsys, tmp_path, case):
+        path = tmp_path / "corpus.txt"
+        path.write_text(f"{case[0]} iel {case[1]}\n")
+        code, out, _ = run(capsys, "batch", "--corpus", str(path))
+        assert code == 1
+        assert f"FAIL line 1: expected {case[0]}, got {case[0]}" in out
+        assert "(certificate rejected)" in out and "0/1 records passed" in out
+
+    def test_crosscheck_reports_a_contradiction(self, capsys, case):
+        code, out, _ = run(capsys, "crosscheck", "--bound", "2", case[1])
+        assert code == 1
+        assert out.startswith(f"CONTRADICTION: {case[0]} (iel)")
+        assert "problem: prover certificate rejected: " in out
 
 
 @pytest.mark.parametrize("argv", [

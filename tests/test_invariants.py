@@ -16,7 +16,7 @@ from ielprove.oracle import random_formulas
 from ielprove.prover import _search, piel
 from ielprove.refuter import refutation_model
 from ielprove.rules import instantiations
-from ielprove.sequent import Calculus, Logic, Sequent, classify, sequent
+from ielprove.sequent import Logic, Sequent, liel_active, sequent
 
 
 def _count(f) -> int:
@@ -49,7 +49,7 @@ class TestSequentSize:
 
     @given(sequents, st.sampled_from(list(Logic)))
     def test_premise_sizes_are_the_connective_sum(self, s, logic):
-        if not classify(s, Calculus.LIEL, logic).is_active:
+        if not liel_active(s, logic):
             return
         for inst in instantiations(s, logic):
             for p in inst.premises:

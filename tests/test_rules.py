@@ -7,16 +7,15 @@ from ielprove.formula import BOT, K, Var, parse
 from ielprove.kripke import satisfies
 from ielprove.oracle import enumerate_models
 from ielprove.rules import (
-    ProofTree,
+    Derivation,
     axiom_leaf,
     check_proof,
     instantiations,
     proof_from_json,
     proof_to_json,
     rule_node,
-    sequent_connectives,
 )
-from ielprove.sequent import Calculus, Logic, classify, sequent
+from ielprove.sequent import Logic, liel_active, sequent
 
 a, b = Var("a"), Var("b")
 
@@ -66,17 +65,17 @@ class TestInstantiations:
         for _ in range(300):
             s = random_sequent(rng)
             for logic in Logic:
-                if classify(s, Calculus.LIEL, logic).is_active:
+                if liel_active(s, logic):
                     for inst in instantiations(s, logic):
                         for p in inst.premises:
-                            assert sequent_connectives(p) < sequent_connectives(s)
+                            assert p.size < s.size
 
     def test_active_sequents_have_instantiations(self):
         rng = random.Random(17)
         for _ in range(400):
             s = random_sequent(rng)
             for logic in Logic:
-                if classify(s, Calculus.LIEL, logic).is_active:
+                if liel_active(s, logic):
                     assert instantiations(s, logic)
 
     def test_rule_correctness_on_small_models(self):
@@ -87,7 +86,7 @@ class TestInstantiations:
         checked = 0
         while checked < 60:
             s = random_sequent(rng, max_connectives=3)
-            if not classify(s, Calculus.LIEL, Logic.IEL).is_active:
+            if not liel_active(s, Logic.IEL):
                 continue
             witnesses = [(m, w) for m in pool for w in m.worlds if satisfies(m, w, s)]
             if not witnesses:
@@ -99,7 +98,7 @@ class TestInstantiations:
                                for p in inst.premises for v in m.worlds)
 
 
-def _ax2_proof() -> ProofTree:
+def _ax2_proof() -> Derivation:
     """Hand-built proof of K(a -> b) -> (K a -> K b)."""
     imp = parse("a -> b")
     s3e = sequent([], [a, imp], [b], e=True)
@@ -128,7 +127,7 @@ class TestCheckProof:
 
     def test_non_axiom_leaf(self):
         t = _ax2_proof()
-        bad = ProofTree(t.sequent, t.rule, None, (
+        bad = Derivation(t.sequent, t.rule, None, (
             axiom_leaf(sequent([], [a], [b]), "Id"),
             t.children[1],
         ))
@@ -136,7 +135,7 @@ class TestCheckProof:
         assert "BadAxiom" in kinds or "BadInstantiation" in kinds
 
     def test_missing_axiom_name(self):
-        t = ProofTree(sequent([], [a], [a]), None, None, ())
+        t = Derivation(sequent([], [a], [a]), None, None, ())
         assert [d.kind for d in check_proof(t, Logic.IEL)] == ["NonAxiomLeaf"]
 
     def test_wrong_rule(self):

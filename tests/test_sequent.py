@@ -5,12 +5,12 @@ import pytest
 from conftest import random_sequent
 from ielprove.formula import BOT, K, Var, parse
 from ielprove.sequent import (
-    Calculus,
     Logic,
-    classify,
+    liel_active,
     liel_axiom,
     liel_flat,
     riel_axiom,
+    riel_flat,
     sequent,
     sequent_from_json,
     sequent_text,
@@ -76,28 +76,27 @@ class TestRielAxiom:
 
 class TestClassify:
     def test_bottom_left_is_riel_flat(self):
-        assert classify(sequent([], [BOT], []), Calculus.RIEL, Logic.IEL).is_flat
+        s = sequent([], [BOT], [])
+        assert riel_flat(s)
+        assert riel_axiom(s, Logic.IEL) is None
 
     def test_k_right_is_liel_active(self):
-        assert classify(sequent([], [a], [K(b)]), Calculus.LIEL, Logic.IEL).is_active
+        assert liel_active(sequent([], [a], [K(b)]), Logic.IEL)
 
     def test_contradictory_k_pair_is_riel_active(self):
         s = sequent([], [K(b), parse("K ~b")], [])
-        assert classify(s, Calculus.RIEL, Logic.IEL).is_active
+        assert riel_axiom(s, Logic.IEL) is None
+        assert not riel_flat(s)
 
     def test_axiom_and_flat_disjoint(self):
-        from ielprove.sequent import riel_flat
         rng = random.Random(42)
         for _ in range(300):
             s = random_sequent(rng)
-            for calculus in Calculus:
-                for logic in Logic:
-                    t = classify(s, calculus, logic)
-                    assert t == classify(s, calculus, logic)
-                    if calculus is Calculus.LIEL:
-                        assert not (liel_axiom(s) is not None and liel_flat(s, logic))
-                    else:
-                        assert not (riel_axiom(s, logic) is not None and riel_flat(s))
+            for logic in Logic:
+                assert not (liel_axiom(s) is not None and liel_flat(s, logic))
+                assert liel_active(s, logic) == (
+                    liel_axiom(s) is None and not liel_flat(s, logic))
+                assert not (riel_axiom(s, logic) is not None and riel_flat(s))
 
 
 class TestForms:
