@@ -1,7 +1,12 @@
+import hashlib
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from ielprove.formula import parse, render
-from ielprove.kripke import check_frame, forces
+from ielprove.kripke import check_frame, forces, model_to_json
 from ielprove.oracle import (
     brute_force_invalid,
     crosscheck,
@@ -10,6 +15,9 @@ from ielprove.oracle import (
     variables,
 )
 from ielprove.sequent import Logic
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "oracle_reports.json"
+CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "paper.txt"
 
 
 class TestEnumerate:
@@ -114,3 +122,42 @@ class TestRandomFormulas:
         for f in random_formulas(200, seed=1, max_connectives=8):
             assert connective_count(f) <= 8
             assert variables(f) <= {"a", "b", "c"}
+
+
+def _report_entry(f, logic, bound, full_scan):
+    r = brute_force_invalid(f, bound, logic, full_scan=full_scan)
+    model = None if r.countermodel is None else hashlib.sha256(
+        json.dumps(model_to_json(r.countermodel), sort_keys=True).encode("utf-8")).hexdigest()
+    return {"formula": render(f), "logic": logic.value, "bound": bound,
+            "full_scan": full_scan, "countermodel": model,
+            "min_depth_found": r.min_depth_found,
+            "models_enumerated": r.models_enumerated}
+
+
+def golden_text() -> str:
+    """Oracle reports for 200 seeded random formulas over a, b, c at bound 3
+    (both logics, full and first-countermodel scans), 40 over a, b at bound
+    4 and the corpus at bound 4, with the countermodel as a digest of its
+    JSON."""
+    entries = [_report_entry(f, logic, 3, full_scan)
+               for f in random_formulas(200, seed=4242)
+               for logic in Logic for full_scan in (True, False)]
+    entries += [_report_entry(f, logic, 4, True)
+                for f in random_formulas(40, seed=4343, variables=("a", "b"))
+                for logic in Logic]
+    for line in CORPUS.read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            _, logic, text = line.split(None, 2)
+            entries.append(_report_entry(parse(text), Logic(logic), 4, True))
+    return json.dumps(entries, indent=1, sort_keys=True) + "\n"
+
+
+class TestGoldenReports:
+    def test_reproduces_golden_file(self):
+        assert golden_text() == GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    # Re-record the golden file: PYTHONPATH=src python tests/test_oracle.py --record
+    if sys.argv[1:] == ["--record"]:
+        GOLDEN.write_text(golden_text(), encoding="utf-8")
