@@ -3,20 +3,22 @@
 Enumerates every labelled rooted Kripke model up to a world bound (orders
 with a designated root, E-relations filtered by the frame conditions,
 persistent valuations) to cross-validate prover outcomes and model-depth
-minimality.  Also hosts the seeded random-formula generator used by the
-test corpus and the crosscheck command.
+minimality.  The scan works a rooted order at a time: it forces a formula
+in every model on the order at once, one bit per model (per E-relation and
+valuation), and builds a KripkeModel only for the countermodel it reports.
+Also hosts the seeded random-formula generator used by the test corpus and
+the crosscheck command.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .formula import BOT, And, Formula, Imp, K, Or, Var, subformulas
-from .kripke import KripkeModel, check_frame, depth, forces
+from .formula import BOT, And, Bottom, Formula, Imp, K, Or, Var, connective_count, subformulas
+from .kripke import KripkeModel, check_frame, depth
 from .prover import Proof, decide, outcome_defect
 from .sequent import Logic
 
@@ -80,16 +82,19 @@ def _e_relations(leq: frozenset[tuple[int, int]], n: int,
                  logic: Logic) -> list[frozenset[tuple[int, int]]]:
     """Subrelations of the order closed downwards (Im2), serial for IEL."""
     pairs = sorted(leq)
+    bit = {p: 1 << k for k, p in enumerate(pairs)}
+    # Im2: the edge (b, c) needs (a, c) for every a <= b.  Im3: some edge
+    # leaves each world.
+    needs = [(bit[b, c], sum(bit[a, c] for a in range(n) if (a, b) in leq))
+             for b, c in pairs]
+    leaving = [sum(bit[p] for p in pairs if p[0] == w) for w in range(n)]
     out = []
     for bits in range(1 << len(pairs)):
-        e = frozenset(pairs[k] for k in range(len(pairs)) if bits >> k & 1)
-        if any((a, b) in leq and (b, c) in e and (a, c) not in e
-               for a, b in pairs for c in range(n)):
+        if any(bits & edge and needed & ~bits for edge, needed in needs):
             continue
-        if logic is Logic.IEL and any(
-                not any((w, v) in e for v in range(n)) for w in range(n)):
+        if logic is Logic.IEL and not all(bits & edges for edges in leaving):
             continue
-        out.append(e)
+        out.append(frozenset(p for p in pairs if bits & bit[p]))
     return out
 
 
@@ -102,24 +107,146 @@ def _upsets(leq: frozenset[tuple[int, int]], n: int) -> list[frozenset[int]]:
     return out
 
 
+class _Order(NamedTuple):
+    """A rooted order with every frame on it, one per E-relation, and every
+    persistent valuation of k variables on each frame.
+
+    A mask has one bit per model: bit e * size + i stands for valuation i of
+    the frame with E-relation e_rels[e], where valuation i is the i-th pick
+    of itertools.product(ups, repeat=k)."""
+    leq: frozenset[tuple[int, int]]
+    e_rels: tuple[frozenset[tuple[int, int]], ...]
+    ups: tuple[frozenset[int], ...]
+    depth: int
+    up: tuple[tuple[int, ...], ...]
+    # e_up[w]: each u that some frame's E reaches from w, with the mask of
+    # the models whose E does not.
+    e_up: tuple[tuple[tuple[int, int], ...], ...]
+    var_masks: tuple[tuple[int, ...], ...]  # [j][w]: variable j holds at w
+    size: int  # valuations per frame
+    full: int  # every model
+
+    @property
+    def models(self) -> int:
+        return self.size * len(self.e_rels)
+
+
+def _repeat(pattern: int, width: int, count: int) -> int:
+    """count copies of a width-bit pattern, side by side."""
+    return pattern * (((1 << width * count) - 1) // ((1 << width) - 1))
+
+
+def _variable_masks(ups: list[frozenset[int]], n: int, k: int,
+                    frames: int) -> tuple[tuple[int, ...], ...]:
+    # Variable j's pick runs over ups in blocks of u**(k-1-j) valuations: a
+    # cycle of u blocks that repeats u**j times in each frame.
+    u = len(ups)
+    out = []
+    for j in range(k):
+        block = u ** (k - 1 - j)
+        ones = (1 << block) - 1
+        out.append(tuple(
+            _repeat(sum(ones << i * block for i, ws in enumerate(ups) if w in ws),
+                    u * block, u ** j * frames)
+            for w in range(n)))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
-def _model_pool(names: tuple[str, ...], max_worlds: int,
-                logic: Logic) -> tuple[KripkeModel, ...]:
-    models = []
+def _orders(n: int, k: int, logic: Logic) -> tuple[_Order, ...]:
+    """Every rooted order on n worlds with its frames, in enumeration order.
+
+    Every up-set and every frame is checked once; the checks raise rather
+    than assert, so they hold under python -O."""
+    worlds = frozenset(range(n))
+    out = []
+    for leq in _rooted_orders(n):
+        ups = _upsets(leq, n)
+        for ws in ups:
+            if any(b not in ws for a, b in leq if a in ws):
+                raise AssertionError(f"oracle up-set {sorted(ws)} is not upward closed")
+        e_rels = _e_relations(leq, n, logic)
+        for e in e_rels:
+            _require_frame(KripkeModel(worlds, 0, leq, e, {}), logic)
+        size = len(ups) ** k
+        full = (1 << size * len(e_rels)) - 1
+        frame_bits = (1 << size) - 1
+        e_up = tuple(
+            tuple((u, full ^ sum(frame_bits << i * size
+                                 for i, e in enumerate(e_rels) if (w, u) in e))
+                  for u in range(n) if any((w, u) in e for e in e_rels))
+            for w in range(n))
+        m = KripkeModel(worlds, 0, leq, frozenset(), {})
+        out.append(_Order(leq, tuple(e_rels), tuple(ups), depth(m),
+                          tuple(m.up(w) for w in range(n)), e_up,
+                          _variable_masks(ups, n, k, len(e_rels)), size, full))
+    return tuple(out)
+
+
+def _require_frame(m: KripkeModel, logic: Logic) -> None:
+    violations = check_frame(m, logic)
+    if violations:
+        raise AssertionError(
+            f"oracle model fails check_frame: {', '.join(map(str, violations))}")
+
+
+def _all_orders(k: int, max_worlds: int, logic: Logic) -> Iterator[_Order]:
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be at least 1")
     for n in range(1, max_worlds + 1):
-        for leq in _rooted_orders(n):
-            ups = _upsets(leq, n)
-            e_rels = _e_relations(leq, n, logic)
-            for e in e_rels:
-                for val_pick in itertools.product(ups, repeat=len(names)):
-                    valuation = {
-                        w: frozenset(name for name, ws in zip(names, val_pick) if w in ws)
-                        for w in range(n)
-                    }
-                    m = KripkeModel(frozenset(range(n)), 0, leq, e, valuation)
-                    assert not check_frame(m, logic)
-                    models.append(m)
-    return tuple(models)
+        yield from _orders(n, k, logic)
+
+
+def _model(order: _Order, names: tuple[str, ...], bit: int,
+           logic: Logic) -> KripkeModel:
+    """The model of a mask bit, checked by check_frame."""
+    e, i = divmod(bit, order.size)
+    picks = []
+    for _ in names:
+        i, pick = divmod(i, len(order.ups))
+        picks.append(order.ups[pick])
+    picks.reverse()
+    n = len(order.up)
+    valuation = {w: frozenset(name for name, ws in zip(names, picks) if w in ws)
+                 for w in range(n)}
+    model = KripkeModel(frozenset(range(n)), 0, order.leq, order.e_rels[e], valuation)
+    _require_frame(model, logic)
+    return model
+
+
+def _force_masks(order: _Order, f: Formula,
+                 names: tuple[str, ...]) -> dict[Formula, tuple[int, ...]]:
+    """For each subformula g of f and world w, the mask of the models that
+    force g at w."""
+    full = order.full
+    position = {name: j for j, name in enumerate(names)}
+    out: dict[Formula, tuple[int, ...]] = {}
+    for g in sorted(subformulas(f), key=connective_count):
+        if isinstance(g, Var):
+            row = order.var_masks[position[g.name]]
+        elif isinstance(g, And):
+            row = tuple(x & y for x, y in zip(out[g.left], out[g.right]))
+        elif isinstance(g, Or):
+            row = tuple(x | y for x, y in zip(out[g.left], out[g.right]))
+        elif isinstance(g, Imp):
+            holds = [x ^ full | y for x, y in zip(out[g.left], out[g.right])]
+            row = tuple(_meet((holds[u] for u in us), full) for us in order.up)
+        elif isinstance(g, K):
+            body = out[g.body]
+            row = tuple(_meet((body[u] | absent for u, absent in pairs), full)
+                        for pairs in order.e_up)
+        elif isinstance(g, Bottom):
+            row = (0,) * len(order.up)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        out[g] = row
+    return out
+
+
+def _meet(masks: Iterable[int], full: int) -> int:
+    for mask in masks:
+        full &= mask
+    return full
 
 
 def enumerate_models(vars: frozenset[str] | set[str], max_worlds: int,
@@ -127,9 +254,10 @@ def enumerate_models(vars: frozenset[str] | set[str], max_worlds: int,
     """Every rooted model with at most max_worlds worlds over the given
     variables, in a fixed order.  Labelled enumeration; no isomorphism
     reduction."""
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
-    yield from _model_pool(tuple(sorted(vars)), max_worlds, logic)
+    names = tuple(sorted(vars))
+    for order in _all_orders(len(names), max_worlds, logic):
+        for bit in range(order.models):
+            yield _model(order, names, bit, logic)
 
 
 # ---------------------------------------------------------------------------
@@ -143,24 +271,28 @@ def brute_force_invalid(f: Formula, max_worlds: int, logic: Logic,
     With full_scan, min_depth_found is the minimum depth over every
     countermodel in the bound (the scan stops early only once depth one is
     reached, which no model can undercut); without it the scan stops at the
-    first countermodel and leaves min_depth_found unset.
+    first countermodel and leaves min_depth_found unset.  The scan forces f
+    in all models on one rooted order at once, and models_enumerated counts
+    the models of enumerate_models up to and including the one it stopped at.
     """
-    first: Optional[KripkeModel] = None
+    names = tuple(sorted(variables(f)))
+    first: Optional[tuple[_Order, int]] = None
     min_depth: Optional[int] = None
     count = 0
-    for m in enumerate_models(variables(f), max_worlds, logic):
-        count += 1
-        if not forces(m, m.root, f):
+    for order in _all_orders(len(names), max_worlds, logic):
+        refuted = order.full ^ _force_masks(order, f, names)[f][0]
+        if refuted:
+            bit = (refuted & -refuted).bit_length() - 1
             if first is None:
-                first = m
-            if not full_scan:
+                first = (order, bit)
+            if full_scan and (min_depth is None or order.depth < min_depth):
+                min_depth = order.depth
+            if not full_scan or min_depth == 1:
+                count += bit + 1
                 break
-            d = depth(m)
-            if min_depth is None or d < min_depth:
-                min_depth = d
-            if min_depth == 1:
-                break
-    return OracleReport(f, logic, max_worlds, first,
+        count += order.models
+    model = None if first is None else _model(first[0], names, first[1], logic)
+    return OracleReport(f, logic, max_worlds, model,
                         min_depth if full_scan else None, count)
 
 

@@ -126,7 +126,7 @@ def test_criterion_5_oracle_agreement(formulas500, corpus_formulas):
     jobs = list(corpus_formulas) + [(logic, f) for f in formulas500 for logic in Logic]
     for logic, f in jobs:
         out = decide(f, logic)
-        report = brute_force_invalid(f, 3, logic)
+        report = brute_force_invalid(f, 4, logic)
         if isinstance(out, Proof):
             if report.countermodel is not None:
                 failures.append(f"false validity: {render(f)} ({logic.value})")
@@ -143,7 +143,7 @@ def test_criterion_5_oracle_agreement(formulas500, corpus_formulas):
     if elapsed >= 300:
         failures.append(f"runtime {elapsed:.1f}s over budget")
     _line(5, not failures,
-          f"oracle agreement at bound 3 over corpus + 500 random formulas "
+          f"oracle agreement at bound 4 over corpus + 500 random formulas "
           f"x 2 logics ({elapsed:.1f}s)", failures)
 
 

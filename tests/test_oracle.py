@@ -1,13 +1,20 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ielprove
+from ielprove import oracle
 from ielprove.formula import parse, render
-from ielprove.kripke import check_frame, forces, model_to_json
+from ielprove.kripke import KripkeModel, check_frame, forces, model_to_json
 from ielprove.oracle import (
+    _force_masks,
+    _model,
+    _orders,
     brute_force_invalid,
     crosscheck,
     enumerate_models,
@@ -74,6 +81,87 @@ class TestBruteForce:
         assert r.countermodel is not None
         assert r.min_depth_found is None
         assert not forces(r.countermodel, r.countermodel.root, parse("K a -> a"))
+
+
+class TestForceMasks:
+    def test_masks_match_reference_forcing(self):
+        # Bit i of a world's mask is forces() in the order's i-th model.
+        names = ("a", "b")
+        formulas = random_formulas(30, seed=77, variables=names)
+        for logic in Logic:
+            for n in (1, 2, 3):
+                for order in _orders(n, len(names), logic):
+                    models = [_model(order, names, i, logic) for i in range(order.models)]
+                    for f in formulas:
+                        masks = _force_masks(order, f, names)[f]
+                        for i, m in enumerate(models):
+                            for w in sorted(m.worlds):
+                                assert (masks[w] >> i & 1) == forces(m, w, f), (
+                                    render(f), logic.value, m, w)
+
+    def test_scan_builds_at_most_one_model(self, monkeypatch):
+        f = parse("K(a | b) -> (K a | K b)")
+        brute_force_invalid(f, 3, Logic.IEL)  # the orders are cached from here on
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return KripkeModel(*args)
+
+        monkeypatch.setattr(oracle, "KripkeModel", counting)
+        assert brute_force_invalid(f, 3, Logic.IEL).countermodel is not None
+        assert len(built) == 1
+        assert brute_force_invalid(parse("a -> K a"), 3, Logic.IEL).countermodel is None
+        assert len(built) == 1
+
+
+def _break_im2(e_relations):
+    """_e_relations plus, over an order with 0 < 1, E = {(1, 1)}: the edge
+    (1, 1) is not inherited by 0, so Im2 fails."""
+    def planted(leq, n, logic):
+        extra = [frozenset({(1, 1)})] if (0, 1) in leq else []
+        return e_relations(leq, n, logic) + extra
+    return planted
+
+
+class TestFrameCheck:
+    @pytest.fixture
+    def fresh_orders(self):
+        _orders.cache_clear()
+        yield
+        _orders.cache_clear()
+
+    def test_planted_e_relation_is_rejected(self, monkeypatch, fresh_orders):
+        monkeypatch.setattr(oracle, "_e_relations", _break_im2(oracle._e_relations))
+        with pytest.raises(AssertionError, match="Im2"):
+            brute_force_invalid(parse("a -> a"), 2, Logic.IEL_MINUS)
+        with pytest.raises(AssertionError, match="Im2"):
+            list(enumerate_models(frozenset({"a"}), 2, Logic.IEL))
+
+    def test_planted_up_set_is_rejected(self, monkeypatch, fresh_orders):
+        plain = oracle._upsets
+        monkeypatch.setattr(oracle, "_upsets",
+                            lambda leq, n: plain(leq, n) + [frozenset({0})])
+        with pytest.raises(AssertionError, match="not upward closed"):
+            brute_force_invalid(parse("a -> a"), 2, Logic.IEL)
+
+    def test_check_survives_optimised_mode(self):
+        code = (
+            "from ielprove import oracle\n"
+            "from ielprove.formula import parse\n"
+            "from ielprove.sequent import Logic\n"
+            "plain = oracle._e_relations\n"
+            "oracle._e_relations = lambda leq, n, logic: plain(leq, n, logic) + (\n"
+            "    [frozenset({(1, 1)})] if (0, 1) in leq else [])\n"
+            "try:\n"
+            "    oracle.brute_force_invalid(parse('a -> a'), 2, Logic.IEL_MINUS)\n"
+            "except AssertionError as exc:\n"
+            "    print('rejected' if 'Im2' in str(exc) else exc)\n"
+        )
+        src = str(Path(ielprove.__file__).resolve().parent.parent)
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.stdout.strip() == "rejected", run.stderr
 
 
 class TestCrosscheck:
