@@ -22,9 +22,9 @@ from .refuter import (
     check_refutation,
     extract_model,
     refutation_from_json,
-    refutation_to_json,
+    refutation_json,
 )
-from .rules import check_proof, derivation_text, proof_from_json, proof_to_json
+from .rules import check_proof, derivation_json, derivation_text, proof_from_json
 from .sequent import Logic
 
 
@@ -63,8 +63,12 @@ def _read_json(path: str) -> object:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
+def _emit_json(obj: dict, **encoded: str) -> None:
+    """Print obj as json.dumps(obj, sort_keys=True) does, with the fields of
+    encoded added in key order; their values are JSON texts already."""
+    fields = {key: json.dumps(value, sort_keys=True) for key, value in obj.items()}
+    fields.update(encoded)
+    print("{" + ", ".join(f"{json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "}")
 
 
 def _verify(f: Formula, outcome: Outcome, logic: Logic) -> None:
@@ -77,7 +81,7 @@ def _print_proof(args: argparse.Namespace, f: Formula, proof: Proof, note: str =
     logic = _logic(args)
     _verify(f, proof, logic)
     if args.format == "json":
-        _emit_json({"status": "valid", "proof": proof_to_json(proof.tree)})
+        _emit_json({"status": "valid"}, proof=derivation_json(proof.tree))
     elif args.format == "dot":
         raise CliError("dot output needs a model certificate; the formula is valid")
     else:
@@ -130,11 +134,8 @@ def _cmd_refute(args: argparse.Namespace) -> int:
         raise CliError(f"internal checker defect: {exc}") from exc
     _verify(f, Countermodel(model), logic)
     if args.format == "json":
-        _emit_json({
-            "status": "invalid",
-            "refutation": refutation_to_json(out),
-            "model": model_to_json(model),
-        })
+        _emit_json({"status": "invalid", "model": model_to_json(model)},
+                   refutation=refutation_json(out))
     elif args.format == "dot":
         print(model_to_dot(model))
     else:

@@ -22,6 +22,7 @@ from .rules import (
     Derivation,
     check_derivation,
     derivation_from_json,
+    derivation_json,
     derivation_to_json,
     rule_instances,
 )
@@ -138,6 +139,12 @@ def refutation_model(t: Refutation, logic: Logic) -> KripkeModel:
 
 def refutation_to_json(t: Refutation) -> dict:
     return {**derivation_to_json(t), "calculus": "riel"}
+
+
+def refutation_json(t: Refutation) -> str:
+    """json.dumps(refutation_to_json(t), sort_keys=True), one text per
+    distinct node (rules.derivation_json)."""
+    return derivation_json(t, calculus="riel")
 
 
 def refutation_from_json(obj: object) -> Refutation:

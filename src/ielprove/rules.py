@@ -11,8 +11,9 @@ bound and the subformula property are common) and one JSON codec.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from .formula import (
     BOT,
@@ -21,6 +22,7 @@ from .formula import (
     Imp,
     K,
     Or,
+    formula_to_json,
     render,
     sorted_formulas,
     subformulas,
@@ -45,7 +47,14 @@ class Instantiation:
 @dataclass(frozen=True)
 class Derivation:
     """A proof or a refutation: leaves carry an axiom name, inner nodes a
-    rule name of the calculus at hand."""
+    rule name of the calculus at hand.
+
+    The memoized search hands back the same node object for a repeated
+    subsequent, so a derivation in memory is a DAG.  Every walk over one
+    (checking, depth, JSON) visits each distinct node object once per call,
+    keyed by identity since equal-valued nodes compare by their whole
+    subtree, and keeps its own stack, so depth is not bounded by Python's
+    recursion limit."""
 
     sequent: Sequent
     rule: Optional[str]
@@ -63,7 +72,17 @@ def rule_node(s: Sequent, rule: str, children: tuple[Derivation, ...]) -> Deriva
 
 def derivation_depth(t: Derivation) -> int:
     """Length in edges of the longest branch."""
-    return 1 + max(map(derivation_depth, t.children)) if t.children else 0
+    depth: dict[int, int] = {}
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        todo = [c for c in node.children if id(c) not in depth]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        depth[id(node)] = 1 + max(depth[id(c)] for c in node.children) if node.children else 0
+    return depth[id(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +250,8 @@ def check_derivation(t: Derivation,
     for f in root.theta | root.gamma | root.delta:
         allowed |= subformulas(f)
 
-    def visit(node: Derivation) -> None:
+    def own_defects(node: Derivation) -> bool:
+        """Append the node's own defects; True if its children are checked."""
         s = node.sequent
         for f in sorted_formulas((s.theta | s.gamma | s.delta) - allowed):
             defects.append(Defect(
@@ -243,24 +263,41 @@ def check_derivation(t: Derivation,
             elif not axiom_fits(s, node.axiom):
                 defects.append(Defect(
                     "BadAxiom", f"{node.axiom} does not fit {sequent_text(s)}"))
-            return
+            return False
         if node.axiom is not None:
             defects.append(Defect("MalformedNode", sequent_text(s)))
-            return
+            return False
         stop = cannot_fire(node)
         if stop is not None:
             defects.append(stop)
-            return
+            return False
         bad = bad_premises(node)
         if bad is not None:
             defects.append(bad)
-        for child in node.children:
-            visit(child)
+        return True
 
-    visit(t)
-    if derivation_depth(t) > root.size:
-        defects.append(Defect(
-            "DepthBound", f"depth {derivation_depth(t)} exceeds {root.size} connectives"))
+    # Pre-order, children left to right.  A subtree's defects form one run
+    # of the list, so a repeated node re-appends the run its first
+    # occurrence produced: the list is the one a walk of the expanded tree
+    # gives.  An entry (node, start) closes node's run, which began at start.
+    runs: dict[int, tuple[int, int]] = {}
+    stack: list[tuple[Derivation, Optional[int]]] = [(t, None)]
+    while stack:
+        node, start = stack.pop()
+        if start is not None:
+            runs[id(node)] = (start, len(defects))
+            continue
+        run = runs.get(id(node))
+        if run is not None:
+            defects.extend(defects[run[0]:run[1]])
+            continue
+        stack.append((node, len(defects)))
+        if own_defects(node):
+            stack.extend((c, None) for c in reversed(node.children))
+
+    depth = derivation_depth(t)
+    if depth > root.size:
+        defects.append(Defect("DepthBound", f"depth {depth} exceeds {root.size} connectives"))
     return defects
 
 
@@ -314,6 +351,58 @@ def derivation_to_json(t: Derivation) -> dict:
 
 
 proof_to_json = derivation_to_json
+
+
+def derivation_json(t: Derivation, calculus: Optional[str] = None) -> str:
+    """The text json.dumps(derivation_to_json(t), sort_keys=True) gives, with
+    a "calculus" key added at the root when one is named, written without
+    building the dict.
+
+    The text is kept as a list of pieces.  A distinct node's pieces are
+    written once; a repeated node copies the run of pieces its first
+    occurrence wrote, so a parent never copies its children's bytes and a
+    chain of n nodes costs O(n), not O(n^2).  Formulas (by formula_to_json)
+    and rule and axiom names are encoded once per call each."""
+    texts: dict[object, str] = {}
+
+    def text(x: Union[Formula, str, None]) -> str:
+        out = texts.get(x)
+        if out is None:
+            out = texts[x] = json.dumps(
+                formula_to_json(x) if isinstance(x, Formula) else x, sort_keys=True)
+        return out
+
+    def part(fs: frozenset[Formula]) -> str:
+        return "[" + ", ".join(map(text, sorted_formulas(fs))) + "]"
+
+    root_key = "" if calculus is None else f'"calculus": {json.dumps(calculus)}, '
+    pieces: list[str] = []
+    runs: dict[int, tuple[int, int]] = {}
+    # (node, separator) enters node after writing the separator; (node,
+    # start) closes node, whose run of pieces began at start.
+    stack: list[tuple[Derivation, Union[str, int]]] = [(t, "")]
+    while stack:
+        node, mark = stack.pop()
+        if isinstance(mark, int):
+            s = node.sequent
+            pieces.append(
+                f'], "rule": {text(node.rule)}, "sequent": {{"delta": {part(s.delta)}, '
+                f'"e": {"true" if s.e_flag else "false"}, "gamma": {part(s.gamma)}, '
+                f'"theta": {part(s.theta)}}}}}')
+            runs[id(node)] = (mark, len(pieces))
+            continue
+        if mark:
+            pieces.append(mark)
+        run = runs.get(id(node))
+        if run is not None:
+            pieces.extend(pieces[run[0]:run[1]])
+            continue
+        stack.append((node, len(pieces)))
+        pieces.append(f'{{"axiom": {text(node.axiom)}, '
+                      f'{root_key if node is t else ""}"children": [')
+        kids = node.children
+        stack.extend((kids[i], ", " if i else "") for i in range(len(kids) - 1, -1, -1))
+    return "".join(pieces)
 
 
 def derivation_from_json(obj: object, rules: tuple[str, ...], axioms: tuple[str, ...],

@@ -1,11 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ielprove import cli, oracle, prover, refuter
 from ielprove.cli import main
@@ -332,3 +337,104 @@ class TestExitCodeContract:
         code, out, err = run(capsys, "decide", "~" * 400 + "a")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Random JSON built from the certificates' own keys and names, so that
+# decoding gets past its first checks often.
+_KEYS = ("sequent", "rule", "axiom", "children", "calculus", "theta", "gamma",
+         "delta", "e", "op", "name", "left", "right", "body", "worlds", "root",
+         "leq", "val")
+_NAMES = ("AndL", "AndR", "ImpR", "KL", "KR", "eKR", "Glue", "KL2", "ImpR1",
+          "Id", "Irr", "eId", "Sat", "eSat", "kSat", "var", "bot", "and", "or",
+          "imp", "k", "a", "b", "0", "1")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(_NAMES)
+    | st.text(max_size=4) | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), kids, max_size=5),
+    max_leaves=25,
+)
+CHECKERS = {"proof": "check-proof", "refutation": "check-refutation", "model": "check-model"}
+
+
+@lru_cache(maxsize=1)
+def real_certificates() -> tuple[tuple[str, str, object], ...]:
+    """(checker, logic, certificate) from refute --format json."""
+    out = []
+    for text in ("K a -> a", "K(a|b) -> (K a | K b)", "K a -> ~~a", "a | ~a",
+                 "K(a->b) -> (K a -> K b)", "((a -> b) -> a) -> a"):
+        for logic in ("iel", "iel-"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                main(["refute", "--format", "json", "--logic", logic, text])
+            obj = json.loads(buf.getvalue())
+            out.extend((CHECKERS[key], logic, obj[key]) for key in CHECKERS if key in obj)
+    return tuple(out)
+
+
+@st.composite
+def mutated_certificates(draw):
+    """A real certificate with one to three parts replaced, dropped or
+    copied from elsewhere in it."""
+    command, logic, cert = draw(st.sampled_from(real_certificates()))
+    cert = copy.deepcopy(cert)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, cert
+        for _ in range(draw(st.integers(0, 12))):
+            if not isinstance(node, (dict, list)) or not node:
+                break
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = parent[key]
+        if parent is None:
+            continue
+        action = draw(st.sampled_from(("replace", "drop", "copy")))
+        if action == "drop":
+            del parent[key]
+        elif action == "copy":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(list(_parts(cert)))))
+        else:
+            parent[key] = draw(json_values)
+    return command, logic, cert
+
+
+def _parts(obj):
+    """obj and every value nested in it."""
+    yield obj
+    values = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    for value in values:
+        yield from _parts(value)
+
+
+class TestCheckerExitCodes:
+    """check-proof, check-refutation and check-model on any JSON: exit 0,
+    1 or 2, and exit 2 only for a schema error, in one line."""
+
+    def _check(self, tmp_path_factory, command, logic, cert, fmt="text"):
+        path = tmp_path_factory.getbasetemp() / "certificate.json"
+        path.write_text(json.dumps(cert))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--logic", logic, "--format", fmt, str(path)])
+        err = err.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: schema error") and err.count("\n") == 1, err
+        else:
+            assert err == ""
+        return code
+
+    def test_real_certificates_pass(self, tmp_path_factory):
+        for command, logic, cert in real_certificates():
+            assert self._check(tmp_path_factory, command, logic, cert) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(CHECKERS.values())), st.sampled_from(("iel", "iel-")),
+           json_values, st.sampled_from(("text", "json")))
+    def test_random_json(self, tmp_path_factory, command, logic, obj, fmt):
+        self._check(tmp_path_factory, command, logic, obj, fmt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_certificates(), st.sampled_from(("text", "json")))
+    def test_mutated_certificates(self, tmp_path_factory, mutated, fmt):
+        self._check(tmp_path_factory, *mutated, fmt)
