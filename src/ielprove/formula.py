@@ -86,11 +86,6 @@ class K(Formula):
 BOT = Bottom()
 
 
-def neg(f: Formula) -> Formula:
-    """~f, i.e. Imp(f, false)."""
-    return Imp(f, BOT)
-
-
 # ---------------------------------------------------------------------------
 # Structural measures
 # ---------------------------------------------------------------------------

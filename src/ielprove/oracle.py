@@ -264,16 +264,14 @@ def enumerate_models(vars: frozenset[str] | set[str], max_worlds: int,
 # Brute-force refutation search
 # ---------------------------------------------------------------------------
 
-def brute_force_invalid(f: Formula, max_worlds: int, logic: Logic,
-                        full_scan: bool = True) -> OracleReport:
+def brute_force_invalid(f: Formula, max_worlds: int, logic: Logic) -> OracleReport:
     """Scan all models up to the bound for one whose root does not force f.
 
-    With full_scan, min_depth_found is the minimum depth over every
-    countermodel in the bound (the scan stops early only once depth one is
-    reached, which no model can undercut); without it the scan stops at the
-    first countermodel and leaves min_depth_found unset.  The scan forces f
-    in all models on one rooted order at once, and models_enumerated counts
-    the models of enumerate_models up to and including the one it stopped at.
+    min_depth_found is the minimum depth over every countermodel in the
+    bound, and countermodel the first one found.  The scan forces f in all
+    models on one rooted order at once, and stops early only once depth one
+    is reached, which no model can undercut; models_enumerated counts the
+    models of enumerate_models up to and including the one it stopped at.
     """
     names = tuple(sorted(variables(f)))
     first: Optional[tuple[_Order, int]] = None
@@ -285,22 +283,18 @@ def brute_force_invalid(f: Formula, max_worlds: int, logic: Logic,
             bit = (refuted & -refuted).bit_length() - 1
             if first is None:
                 first = (order, bit)
-            if full_scan and (min_depth is None or order.depth < min_depth):
+            if min_depth is None or order.depth < min_depth:
                 min_depth = order.depth
-            if not full_scan or min_depth == 1:
+            if min_depth == 1:
                 count += bit + 1
                 break
         count += order.models
     model = None if first is None else _model(first[0], names, first[1], logic)
-    return OracleReport(f, logic, max_worlds, model,
-                        min_depth if full_scan else None, count)
+    return OracleReport(f, logic, max_worlds, model, min_depth, count)
 
 
 @dataclass
 class CrosscheckReport:
-    formula: Formula
-    logic: Logic
-    bound_worlds: int
     prover_valid: bool
     prover_model_depth: Optional[int]
     oracle: OracleReport
@@ -332,8 +326,7 @@ def crosscheck(f: Formula, logic: Logic, max_worlds: int = 3) -> CrosscheckRepor
             and report.min_depth_found < model_depth):
         problems.append(
             f"oracle found depth {report.min_depth_found} below prover depth {model_depth}")
-    return CrosscheckReport(f, logic, max_worlds, isinstance(outcome, Proof),
-                            model_depth, report, problems)
+    return CrosscheckReport(isinstance(outcome, Proof), model_depth, report, problems)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .formula import Formula
 from .kripke import KripkeModel, check_frame, satisfies
 from .refuter import Refutation, refutation_model
 from .rules import (
+    INVERTIBLE,
     REFUTATIONS,
     Derivation,
     Instantiation,
@@ -29,7 +30,7 @@ from .rules import (
     rule_instances,
     rule_node,
 )
-from .sequent import Logic, Sequent, liel_axiom, liel_flat, riel_axiom
+from .sequent import Logic, Sequent, liel_axiom, riel_axiom
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,6 @@ class _Res:
     depth: int = 0
 
 
-_INVERTIBLE = ("AndL", "OrR", "eAndL", "eOrR", "eKL", "eKR",
-               "OrL", "AndR", "eOrL", "eAndR")
 _NONINVERTIBLE = ("ImpR", "KR", "eImpR", "ImpL", "eImpL")
 
 
@@ -75,13 +74,11 @@ def _step(s: Sequent, logic: Logic, memo: dict[Sequent, _Res]) -> _Res:
     name = liel_axiom(s)
     if name is not None:
         return _Res(proof=axiom_leaf(s, name))
-    if liel_flat(s, logic):
-        sat = riel_axiom(s, logic)
-        assert sat is not None
-        return _Res(refutation=axiom_leaf(s, sat), depth=1)
+    name = riel_axiom(s, logic)
+    if name is not None:
+        return _Res(refutation=axiom_leaf(s, name), depth=1)
 
-    # Invertible rules, single-premise ones first.
-    for rule in _INVERTIBLE:
+    for rule in INVERTIBLE:
         inst = next(rule_instances(rule, s, logic), None)
         if inst is not None:
             return _choose(s, [inst], logic, memo)

@@ -14,9 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .formula import Bottom, Imp, K, Var
+from .formula import Bottom, Var
 from .kripke import KripkeModel, glue, single_world
 from .rules import (
+    INVERTIBLE,
     REFUTATIONS,
     Defect,
     Derivation,
@@ -51,14 +52,6 @@ def glue_premises(s: Sequent, logic: Logic) -> list[Sequent]:
             for inst in rule_instances(rule, s, logic)]
 
 
-def _glue_shape_ok(s: Sequent) -> bool:
-    if s.e_flag:
-        return (all(isinstance(f, (Var, Imp)) for f in s.gamma)
-                and all(isinstance(f, (Var, Bottom, Imp)) for f in s.delta))
-    return (all(isinstance(f, (Var, Imp, K)) for f in s.gamma)
-            and all(isinstance(f, (Var, Bottom, Imp, K)) for f in s.delta))
-
-
 # ---------------------------------------------------------------------------
 # Refutation checking
 # ---------------------------------------------------------------------------
@@ -82,7 +75,8 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
         s, rule = node.sequent, node.rule
         got = tuple(c.sequent for c in node.children)
         if rule in ("Glue", "eGlue"):
-            if (rule == "Glue") == s.e_flag or not _glue_shape_ok(s):
+            if (rule == "Glue") == s.e_flag or any(
+                    next(rule_instances(r, s, logic), None) is not None for r in INVERTIBLE):
                 return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}")
             expected = glue_premises(s, logic)
             if not expected:

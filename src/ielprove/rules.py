@@ -177,6 +177,11 @@ RULE_TABLE: dict[str, Callable[[Sequent], _Built]] = {
 
 RULES = tuple(RULE_TABLE)
 
+# The invertible rules, in the order the search tries them, single-premise
+# ones first.  Glue and eGlue fire only where none of them has an instance.
+INVERTIBLE = ("AndL", "OrR", "eAndL", "eOrR", "eKL", "eKR",
+              "OrL", "AndR", "eOrL", "eAndR")
+
 AXIOMS = ("Irr", "Id", "eIrr", "eId")
 
 # (validity rule, premise index) -> the refutational rule that refutes the
@@ -332,12 +337,20 @@ def check_proof(t: Derivation, logic: Logic) -> list[Defect]:
 # Text and JSON forms
 # ---------------------------------------------------------------------------
 
-def derivation_text(t: Derivation, indent: int = 0) -> str:
-    pad = "  " * indent
-    tag = f"({t.axiom})" if t.axiom is not None else f"[{t.rule}]"
-    lines = [f"{pad}{sequent_text(t.sequent)}  {tag}"]
-    for child in t.children:
-        lines.append(derivation_text(child, indent + 1))
+def derivation_text(t: Derivation) -> str:
+    """One line per node of the expanded tree, in pre-order, indented two
+    spaces per level; each distinct node's line is rendered once."""
+    texts: dict[int, str] = {}
+    lines: list[str] = []
+    stack = [(t, 0)]
+    while stack:
+        node, level = stack.pop()
+        text = texts.get(id(node))
+        if text is None:
+            tag = f"({node.axiom})" if node.axiom is not None else f"[{node.rule}]"
+            text = texts[id(node)] = f"{sequent_text(node.sequent)}  {tag}"
+        lines.append("  " * level + text)
+        stack.extend((c, level + 1) for c in reversed(node.children))
     return "\n".join(lines)
 
 

@@ -107,20 +107,21 @@ def liel_active(s: Sequent, logic: Logic) -> bool:
 
 
 def riel_axiom(s: Sequent, logic: Logic) -> Optional[str]:
-    """Axiom name for the refutational calculus, or None."""
-    disjoint = not (s.gamma & s.delta)
-    if _vars_only(s.gamma) and _atoms_only(s.delta) and disjoint:
-        return "eSat" if s.e_flag else "Sat"
-    if (logic is Logic.IEL_MINUS and not s.e_flag
-            and _vars_or_k(s.gamma) and _atoms_only(s.delta) and disjoint):
-        return "kSat"
-    return None
+    """Axiom name for the refutational calculus, or None: its axioms are the
+    flat sequents of the validity calculus.  kSat is the IEL- case whose
+    second compartment keeps a K-formula."""
+    if not liel_flat(s, logic):
+        return None
+    if s.e_flag:
+        return "eSat"
+    return "Sat" if _vars_only(s.gamma) else "kSat"
 
 
 def riel_flat(s: Sequent) -> bool:
-    """No refutational rule applies: falsum on the left, or the second and
-    third compartments share a formula."""
-    return BOT in s.gamma or bool(s.gamma & s.delta)
+    """No refutational rule applies: s is an axiom of the validity calculus
+    (falsum on the left, or the second and third compartments share a
+    formula)."""
+    return liel_axiom(s) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import formulas
 from ielprove import cli, oracle, prover, refuter
 from ielprove.cli import main
+from ielprove.formula import parse, render
+from ielprove.kripke import check_frame, model_from_json, satisfies
+from ielprove.refuter import check_refutation, refutation_from_json
+from ielprove.rules import check_proof, proof_from_json
+from ielprove.sequent import Logic, Sequent
 
 CORPUS = str(Path(__file__).resolve().parent.parent / "corpus" / "paper.txt")
 # Certificates with six non-subformulas at one node.
@@ -406,6 +412,16 @@ def _parts(obj):
         yield from _parts(value)
 
 
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects its arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestCheckerExitCodes:
     """check-proof, check-refutation and check-model on any JSON: exit 0,
     1 or 2, and exit 2 only for a schema error, in one line."""
@@ -413,10 +429,7 @@ class TestCheckerExitCodes:
     def _check(self, tmp_path_factory, command, logic, cert, fmt="text"):
         path = tmp_path_factory.getbasetemp() / "certificate.json"
         path.write_text(json.dumps(cert))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--logic", logic, "--format", fmt, str(path)])
-        err = err.getvalue()
+        code, _, err = _main_captured([command, "--logic", logic, "--format", fmt, str(path)])
         assert code in (0, 1, 2) and "Traceback" not in err
         if code == 2:
             assert err.startswith("error: schema error") and err.count("\n") == 1, err
@@ -438,3 +451,52 @@ class TestCheckerExitCodes:
     @given(mutated_certificates(), st.sampled_from(("text", "json")))
     def test_mutated_certificates(self, tmp_path_factory, mutated, fmt):
         self._check(tmp_path_factory, *mutated, fmt)
+
+
+# Formula text for the formula commands: arbitrary text, text over the
+# formula alphabet, and rendered formulas.
+formula_texts = (st.text(max_size=20)
+                 | st.text(alphabet=" ()~&|->Kabfalse", max_size=24)
+                 | formulas.map(render))
+
+
+class TestFormulaExitCodes:
+    """decide, prove, refute, crosscheck and batch on any text: exit 0, 1 or
+    2 and no traceback; a certificate printed with exit 0 or 1 passes its
+    checker."""
+
+    @pytest.mark.parametrize("command", [
+        ("decide",), ("prove",), ("refute",), ("crosscheck", "--bound", "2")])
+    @settings(max_examples=100, deadline=None)
+    @given(text=formula_texts, logic=st.sampled_from(("iel", "iel-")),
+           fmt=st.sampled_from(("text", "json", "dot")))
+    def test_formula_commands(self, command, text, logic, fmt):
+        # "--" keeps text that starts with "-" a formula, not a flag.
+        code, out, err = _main_captured([*command, "--logic", logic, "--format", fmt,
+                                         "--", text])
+        assert code in (0, 1, 2) and "Traceback" not in err, err
+        if code == 2 or fmt != "json" or command[0] not in ("decide", "refute"):
+            return
+        f, lg = parse(text), Logic(logic)
+        obj = json.loads(out)
+        if code == 0:
+            assert check_proof(proof_from_json(obj["proof"]), lg) == []
+            return
+        model = model_from_json(obj["model"])
+        assert check_frame(model, lg) == []
+        assert satisfies(model, model.root, Sequent(delta=frozenset({f})))
+        if command[0] == "refute":
+            assert check_refutation(refutation_from_json(obj["refutation"]), lg) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.text(max_size=20)
+        | st.tuples(st.sampled_from(("valid", "invalid", "maybe")),
+                    st.sampled_from(("iel", "iel-", "iel+")),
+                    formula_texts).map(" ".join),
+        max_size=5))
+    def test_batch(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "corpus.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        code, _, err = _main_captured(["batch", "--corpus", str(path)])
+        assert code in (0, 1, 2) and "Traceback" not in err, err

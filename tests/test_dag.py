@@ -24,6 +24,7 @@ from ielprove.rules import (
     check_proof,
     derivation_depth,
     derivation_json,
+    derivation_text,
     derivation_to_json,
     rule_node,
 )
@@ -213,3 +214,6 @@ class TestDeepDerivation:
         leaf = json.dumps(derivation_to_json(self._chain(0)), sort_keys=True)
         head, tail = json.dumps(derivation_to_json(self._chain(1)), sort_keys=True).split(leaf)
         assert derivation_json(t) == head * self.N + leaf + tail * self.N
+        lines = derivation_text(t).split("\n")
+        assert len(lines) == self.N + 1
+        assert lines[-1] == "  " * self.N + derivation_text(self._chain(0))

@@ -76,12 +76,6 @@ class TestBruteForce:
             assert r.countermodel is not None
             assert not forces(r.countermodel, r.countermodel.root, f)
 
-    def test_first_scan_only(self):
-        r = brute_force_invalid(parse("K a -> a"), 3, Logic.IEL, full_scan=False)
-        assert r.countermodel is not None
-        assert r.min_depth_found is None
-        assert not forces(r.countermodel, r.countermodel.root, parse("K a -> a"))
-
 
 class TestForceMasks:
     def test_masks_match_reference_forcing(self):
@@ -212,31 +206,28 @@ class TestRandomFormulas:
             assert variables(f) <= {"a", "b", "c"}
 
 
-def _report_entry(f, logic, bound, full_scan):
-    r = brute_force_invalid(f, bound, logic, full_scan=full_scan)
+def _report_entry(f, logic, bound):
+    r = brute_force_invalid(f, bound, logic)
     model = None if r.countermodel is None else hashlib.sha256(
         json.dumps(model_to_json(r.countermodel), sort_keys=True).encode("utf-8")).hexdigest()
     return {"formula": render(f), "logic": logic.value, "bound": bound,
-            "full_scan": full_scan, "countermodel": model,
-            "min_depth_found": r.min_depth_found,
+            "countermodel": model, "min_depth_found": r.min_depth_found,
             "models_enumerated": r.models_enumerated}
 
 
 def golden_text() -> str:
     """Oracle reports for 200 seeded random formulas over a, b, c at bound 3
-    (both logics, full and first-countermodel scans), 40 over a, b at bound
-    4 and the corpus at bound 4, with the countermodel as a digest of its
-    JSON."""
-    entries = [_report_entry(f, logic, 3, full_scan)
-               for f in random_formulas(200, seed=4242)
-               for logic in Logic for full_scan in (True, False)]
-    entries += [_report_entry(f, logic, 4, True)
+    (both logics), 40 over a, b at bound 4 and the corpus at bound 4, with
+    the countermodel as a digest of its JSON."""
+    entries = [_report_entry(f, logic, 3)
+               for f in random_formulas(200, seed=4242) for logic in Logic]
+    entries += [_report_entry(f, logic, 4)
                 for f in random_formulas(40, seed=4343, variables=("a", "b"))
                 for logic in Logic]
     for line in CORPUS.read_text(encoding="utf-8").splitlines():
         if line.strip() and not line.startswith("#"):
             _, logic, text = line.split(None, 2)
-            entries.append(_report_entry(parse(text), Logic(logic), 4, True))
+            entries.append(_report_entry(parse(text), Logic(logic), 4))
     return json.dumps(entries, indent=1, sort_keys=True) + "\n"
 
 

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from ielprove.formula import BOT, K, Var, parse
+from conftest import random_sequent
+from ielprove.formula import BOT, Bottom, Imp, K, Var, parse
 from ielprove.kripke import check_frame, forces, satisfies, single_world
 from ielprove.oracle import enumerate_models, random_formulas
 from ielprove.prover import Proof, decide, prove_or_refute, prove_or_refute_formula
@@ -12,7 +15,8 @@ from ielprove.refuter import (
     refutation_from_json,
     refutation_to_json,
 )
-from ielprove.sequent import Logic, Sequent, sequent
+from ielprove.rules import Defect
+from ielprove.sequent import Logic, Sequent, riel_flat, sequent, sequent_text
 
 a, b = Var("a"), Var("b")
 
@@ -105,6 +109,62 @@ class TestCheckRefutation:
             Refutation(premises[0], None, "Sat", ()),
         ))
         assert any(d.kind == "BadInstantiation" for d in check_refutation(t, Logic.IEL))
+
+
+def _glue_node(rule: str, s: Sequent, logic: Logic) -> Refutation:
+    """A Glue or eGlue node on s over exactly its Glue premises, as Sat
+    leaves."""
+    return Refutation(s, rule, None, tuple(
+        Refutation(p, None, "Sat", ()) for p in glue_premises(s, logic)))
+
+
+def _shape_allows_glue(s: Sequent) -> bool:
+    """The Glue side condition written as formula shapes: only variables,
+    implications and (on plain sequents) K-formulas on the left; the same
+    or falsum on the right."""
+    left = (Var, Imp) if s.e_flag else (Var, Imp, K)
+    return (all(isinstance(f, left) for f in s.gamma)
+            and all(isinstance(f, (*left, Bottom)) for f in s.delta))
+
+
+@pytest.mark.parametrize("logic", list(Logic))
+class TestGlueSideCondition:
+    """Glue and eGlue fire only where no invertible rule has an instance
+    and the E-flag matches."""
+
+    def _first_defect(self, rule, s, logic):
+        defects = check_refutation(_glue_node(rule, s, logic), logic)
+        return defects[0] if defects else None
+
+    def test_rejected_where_and_left_applies(self, logic):
+        s = sequent([], [parse("a & b")], [parse("c -> d")])
+        assert (self._first_defect("Glue", s, logic)
+                == Defect("BadInstantiation", f"Glue on {sequent_text(s)}"))
+
+    def test_rejected_where_e_k_left_applies(self, logic):
+        s = sequent([], [parse("K a"), parse("b -> c")], [parse("d")], e=True)
+        assert (self._first_defect("eGlue", s, logic)
+                == Defect("BadInstantiation", f"eGlue on {sequent_text(s)}"))
+
+    def test_e_flag_must_match(self, logic):
+        s = sequent([], [parse("b -> c")], [parse("d")], e=True)
+        assert (self._first_defect("Glue", s, logic)
+                == Defect("BadInstantiation", f"Glue on {sequent_text(s)}"))
+        assert self._first_defect("eGlue", s, logic) is None
+
+    def test_same_verdict_as_the_shape_test(self, logic):
+        rng = random.Random(9090)
+        verdicts = set()
+        for _ in range(3000):
+            s = random_sequent(rng)
+            if riel_flat(s):
+                continue
+            rule = "eGlue" if s.e_flag else "Glue"
+            rejected = (self._first_defect(rule, s, logic)
+                        == Defect("BadInstantiation", f"{rule} on {sequent_text(s)}"))
+            assert rejected != _shape_allows_glue(s), sequent_text(s)
+            verdicts.add(rejected)
+        assert verdicts == {True, False}
 
 
 class TestExtractModel:
