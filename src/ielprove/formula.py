@@ -9,22 +9,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 
-_NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+_NAME_RE = re.compile(r"(?!false\Z)[a-z][a-zA-Z0-9_]*\Z")  # `false` is falsum
 
 
 class Formula:
     """Base class; concrete shapes are Var, Bottom, And, Or, Imp and K.
 
-    Each node computes its structural hash and its connective count once,
-    when it is built, from the values its children already hold: both cost
-    O(1) per node and never recurse, however deep the tree.
+    Each node computes its hash, connective count and rendered text once,
+    when it is built, from the values its children already hold: none of
+    them recurses, and nothing is cached outside the node.
     """
 
-    __slots__ = ("_hash", "_size")
+    __slots__ = ("_hash", "_size", "_text", "_level", "_subs")
 
     def __post_init__(self) -> None:
         fields = tuple(vars(self).values())
@@ -32,6 +31,10 @@ class Formula:
         object.__setattr__(self, "_hash", hash((type(self).__name__, *fields)))
         object.__setattr__(self, "_size",
                            sum(c._size for c in children) + (1 if children else 0))
+        text, level = _rend(self)
+        object.__setattr__(self, "_text", text)
+        object.__setattr__(self, "_level", level)
+        object.__setattr__(self, "_subs", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -83,9 +86,6 @@ class K(Formula):
     body: Formula
 
 
-BOT = Bottom()
-
-
 # ---------------------------------------------------------------------------
 # Structural measures
 # ---------------------------------------------------------------------------
@@ -95,14 +95,18 @@ def connective_count(f: Formula) -> int:
     return f._size
 
 
-@lru_cache(maxsize=None)
 def subformulas(f: Formula) -> frozenset[Formula]:
-    """All subtrees of f, including f itself."""
-    if isinstance(f, (Var, Bottom)):
-        return frozenset((f,))
-    if isinstance(f, K):
-        return subformulas(f.body) | {f}
-    return subformulas(f.left) | subformulas(f.right) | {f}
+    """All subtrees of f, including f itself; stored on f alone, on first use."""
+    if f._subs is None:
+        seen = set()
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if g not in seen:
+                seen.add(g)
+                stack.extend(v for v in vars(g).values() if isinstance(v, Formula))
+        object.__setattr__(f, "_subs", frozenset(seen))
+    return f._subs
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +116,15 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 _IMP, _OR, _AND, _UNARY, _ATOM = 1, 2, 3, 4, 5
 
 
-@lru_cache(maxsize=None)
 def _rend(f: Formula) -> tuple[str, int]:
     if isinstance(f, Var):
         return f.name, _ATOM
     if isinstance(f, Bottom):
         return "false", _ATOM
     if isinstance(f, Imp) and f.right == BOT:
-        body, lvl = _rend(f.left)
-        return ("~" + body if lvl >= _UNARY else "~(" + body + ")"), _UNARY
+        return "~" + _at(f.left, _UNARY), _UNARY
     if isinstance(f, K):
-        body, lvl = _rend(f.body)
-        return ("K " + body if lvl >= _UNARY else "K(" + body + ")"), _UNARY
+        return ("K " if f.body._level >= _UNARY else "K") + _at(f.body, _UNARY), _UNARY
     if isinstance(f, And):
         return _at(f.left, _AND) + " & " + _at(f.right, _AND + 1), _AND
     if isinstance(f, Or):
@@ -134,12 +135,15 @@ def _rend(f: Formula) -> tuple[str, int]:
 
 
 def _at(f: Formula, min_level: int) -> str:
-    text, lvl = _rend(f)
-    return text if lvl >= min_level else "(" + text + ")"
+    return f._text if f._level >= min_level else "(" + f._text + ")"
+
+
+BOT = Bottom()
+BINARY_OPS: dict[str, type] = {"and": And, "or": Or, "imp": Imp}
 
 
 def render(f: Formula) -> str:
-    return _rend(f)[0]
+    return f._text
 
 
 def sorted_formulas(fs: Iterable[Formula]) -> list[Formula]:
@@ -277,14 +281,11 @@ def formula_to_json(f: Formula) -> dict:
         return {"op": "var", "name": f.name}
     if isinstance(f, Bottom):
         return {"op": "bot"}
-    if isinstance(f, And):
-        return {"op": "and", "left": formula_to_json(f.left), "right": formula_to_json(f.right)}
-    if isinstance(f, Or):
-        return {"op": "or", "left": formula_to_json(f.left), "right": formula_to_json(f.right)}
-    if isinstance(f, Imp):
-        return {"op": "imp", "left": formula_to_json(f.left), "right": formula_to_json(f.right)}
     if isinstance(f, K):
         return {"op": "k", "body": formula_to_json(f.body)}
+    for op, cls in BINARY_OPS.items():
+        if isinstance(f, cls):
+            return {"op": op, "left": formula_to_json(f.left), "right": formula_to_json(f.right)}
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -301,8 +302,8 @@ def formula_from_json(obj: object) -> Formula:
         return BOT
     if op == "k":
         return K(formula_from_json(obj.get("body")))
-    if op in ("and", "or", "imp"):
+    if isinstance(op, str) and op in BINARY_OPS:  # a JSON op may be unhashable
         left = formula_from_json(obj.get("left"))
         right = formula_from_json(obj.get("right"))
-        return {"and": And, "or": Or, "imp": Imp}[op](left, right)
+        return BINARY_OPS[op](left, right)
     raise ValueError(f"unknown op: {op!r}")

@@ -260,10 +260,10 @@ def model_from_json(obj: object) -> KripkeModel:
     if not isinstance(obj, dict):
         raise ValueError(f"not a model object: {obj!r}")
     worlds = obj.get("worlds")
-    if not isinstance(worlds, list) or not all(isinstance(w, int) for w in worlds):
+    if not isinstance(worlds, list) or not all(type(w) is int for w in worlds):  # not bool
         raise ValueError("model 'worlds' must be a list of integers")
     root = obj.get("root")
-    if not isinstance(root, int):
+    if type(root) is not int:
         raise ValueError("model 'root' must be an integer")
 
     def pairs(key: str) -> frozenset[Pair]:
@@ -273,7 +273,7 @@ def model_from_json(obj: object) -> KripkeModel:
         out = set()
         for item in items:
             if (not isinstance(item, list) or len(item) != 2
-                    or not all(isinstance(x, int) for x in item)):
+                    or not all(type(x) is int for x in item)):
                 raise ValueError(f"model {key!r} entries must be integer pairs")
             out.add((item[0], item[1]))
         return frozenset(out)

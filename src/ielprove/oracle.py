@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .formula import BOT, And, Bottom, Formula, Imp, K, Or, Var, connective_count, subformulas
+from .formula import (BINARY_OPS, BOT, And, Bottom, Formula, Imp, K, Or, Var, connective_count,
+                      subformulas)
 from .kripke import KripkeModel, check_frame, depth
 from .prover import Proof, decide, outcome_defect
 from .sequent import Logic
@@ -344,8 +345,7 @@ def random_formula(rng: random.Random, max_connectives: int,
         if shape == "k":
             return K(go(b - 1))
         left = rng.randint(0, b - 1)
-        sides = (go(left), go(b - 1 - left))
-        return {"and": And, "or": Or, "imp": Imp}[shape](*sides)
+        return BINARY_OPS[shape](go(left), go(b - 1 - left))
 
     return go(budget)
 

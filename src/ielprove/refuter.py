@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .formula import Bottom, Var
 from .kripke import KripkeModel, glue, single_world
 from .rules import (
     INVERTIBLE,
@@ -27,7 +26,7 @@ from .rules import (
     derivation_to_json,
     rule_instances,
 )
-from .sequent import Logic, Sequent, gamma_vars, riel_axiom, riel_flat, sequent_text
+from .sequent import Logic, Sequent, atoms_only, gamma_vars, riel_axiom, riel_flat, sequent_text
 
 Refutation = Derivation
 
@@ -85,7 +84,7 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
                 return Defect("BadInstantiation",
                               f"{rule} premises do not match on {sequent_text(s)}")
             return None
-        if rule == "KL2" and not all(isinstance(f, (Var, Bottom)) for f in s.delta):
+        if rule == "KL2" and not atoms_only(s.delta):
             return Defect("ProvisoViolation",
                           f"KL2 needs an atomic third compartment: {sequent_text(s)}")
         premise_of, i = _PREMISE_OF[rule]

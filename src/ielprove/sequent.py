@@ -61,7 +61,7 @@ def _vars_only(fs: frozenset[Formula]) -> bool:
     return all(isinstance(f, Var) for f in fs)
 
 
-def _atoms_only(fs: frozenset[Formula]) -> bool:
+def atoms_only(fs: frozenset[Formula]) -> bool:
     return all(isinstance(f, (Var, Bottom)) for f in fs)
 
 
@@ -97,7 +97,7 @@ def liel_flat(s: Sequent, logic: Logic) -> bool:
         gamma_ok = _vars_only(s.gamma)
     else:
         gamma_ok = _vars_or_k(s.gamma)
-    return gamma_ok and _atoms_only(s.delta) and not (s.gamma & s.delta)
+    return gamma_ok and atoms_only(s.delta) and not (s.gamma & s.delta)
 
 
 def liel_active(s: Sequent, logic: Logic) -> bool:

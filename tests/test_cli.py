@@ -168,6 +168,26 @@ class TestCheckCommands:
         code, _, err = run(capsys, "check-proof", str(path))
         assert code == 2
 
+    def test_check_proof_rejects_reserved_variable_name(self, capsys, tmp_path):
+        # A variable named `false` would print as falsum: `; false, false => false`.
+        fake = {"op": "var", "name": "false"}
+        leaf = {"rule": None, "axiom": "Id", "children": [], "sequent": {
+            "theta": [], "gamma": [fake, {"op": "bot"}], "delta": [fake], "e": False}}
+        path = tmp_path / "proof.json"
+        path.write_text(json.dumps(leaf))
+        code, out, err = run(capsys, "check-proof", str(path))
+        assert code == 2 and out == "" and err.startswith("error: schema error")
+
+    def test_check_model_rejects_boolean_worlds(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        for model in ({"worlds": [True], "root": True, "leq": [[True, True]],
+                       "e": [[True, True]], "val": {"1": ["a"]}},
+                      {"worlds": [0, False], "root": 0, "leq": [[0, 0]], "e": []}):
+            path.write_text(json.dumps(model))
+            for fmt in ("text", "dot"):
+                code, out, err = run(capsys, "check-model", "--format", fmt, str(path))
+                assert code == 2 and out == "" and err.startswith("error: schema error")
+
     def test_check_model(self, capsys, tmp_path):
         obj = self._decide_json(capsys, "K a -> a")
         path = tmp_path / "model.json"

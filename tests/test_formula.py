@@ -128,8 +128,9 @@ class TestJson:
             formula_from_json({"op": "xor", "left": {"op": "bot"}, "right": {"op": "bot"}})
 
     def test_rejects_bad_name(self):
-        with pytest.raises(ValueError):
-            formula_from_json({"op": "var", "name": "Nope"})
+        for name in ("Nope", "false"):
+            with pytest.raises(ValueError):
+                formula_from_json({"op": "var", "name": name})
 
 
 def test_var_name_validation():
@@ -137,3 +138,5 @@ def test_var_name_validation():
         Var("A")
     with pytest.raises(ValueError):
         Var("")
+    with pytest.raises(ValueError):
+        Var("false")  # reserved for falsum: render would not be injective

@@ -2,18 +2,20 @@
 stored sequent sizes, the premise-shrink check in instantiations, and the
 model depth carried next to each refutation."""
 
+import gc
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import formulas
 from ielprove import rules
-from ielprove.formula import And, Bottom, Imp, K, Or, Var, parse, render
+from ielprove.formula import And, Bottom, Imp, K, Or, Var, parse, render, subformulas
 from ielprove.kripke import depth
 from ielprove.oracle import random_formulas
-from ielprove.prover import _search, piel
+from ielprove.prover import _search, decide, outcome_defect, piel
 from ielprove.refuter import refutation_model
 from ielprove.rules import instantiations
 from ielprove.sequent import Logic, Sequent, liel_active, sequent
@@ -75,6 +77,20 @@ class TestFormulaHash:
         assert isinstance(hash(f), int)
         assert hash(f) != hash(K(f))
         assert f in {f}
+        assert len(render(f)) == 10_001
+        assert len(subformulas(f)) == 5_001
+
+    def test_decided_formula_is_freed(self):
+        # Nothing in the formula layer keeps a formula alive once its
+        # callers drop it: rendered text and subformulas live on the node.
+        f = parse("(K a -> ~~a) & ~K false")  # valid in IEL only
+        for logic in Logic:
+            outcome = decide(f, logic)
+            assert outcome_defect(f, outcome, logic) is None
+        ref = weakref.ref(f)
+        del f, outcome
+        gc.collect()
+        assert ref() is None
 
     def test_shape_and_children_both_matter(self):
         a, b = Var("a"), Var("b")
