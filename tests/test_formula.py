@@ -63,6 +63,33 @@ class TestParse:
         with pytest.raises(FormulaSyntaxError):
             parse("(a -> b")
 
+    @pytest.mark.parametrize("text,message,position", [
+        ("", "empty input", 0),
+        ("   ", "empty input", 0),
+        ("a -> $", "unexpected character '$'", 5),
+        ("a) #", "unexpected character '#'", 3),  # the whole text is tokenized first
+        ("a & -> b", "expected a formula", 4),
+        ("(a | )", "expected a formula", 5),
+        ("~ & a", "expected a formula", 2),
+        ("a ->", "expected a formula", 4),
+        ("a -> ", "expected a formula", 5),
+        ("K ~", "expected a formula", 3),
+        ("(", "expected a formula", 1),
+        ("(a b)", "expected ')'", 3),
+        ("(a -> b", "expected ')'", 7),
+        ("((a) ", "expected ')'", 5),
+        ("a b", "trailing input", 2),
+        ("a ~ b", "trailing input", 2),
+        ("a)", "trailing input", 1),
+        ("(a))", "trailing input", 3),
+        ("a -> b ) c", "trailing input", 7),
+    ])
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
 
 class TestRender:
     def test_modal_implication(self):
