@@ -20,7 +20,7 @@ from .kripke import KripkeModel, check_frame, depth, forces, satisfies
 from .oracle import brute_force_invalid, crosscheck, enumerate_models
 from .prover import Countermodel, Outcome, Proof, decide, outcome_defect, piel, prove_or_refute
 from .refuter import Refutation, check_refutation, extract_model
-from .rules import Derivation, check_proof, instantiations
+from .rules import Derivation, check_proof
 from .sequent import Logic, Sequent, sequent
 
 __version__ = "0.1.0"
@@ -31,6 +31,6 @@ __all__ = [
     "Proof", "Refutation", "Sequent", "Var", "brute_force_invalid",
     "check_frame", "check_proof", "check_refutation", "connective_count",
     "crosscheck", "decide", "depth", "enumerate_models", "extract_model",
-    "forces", "instantiations", "outcome_defect", "parse", "piel",
+    "forces", "outcome_defect", "parse", "piel",
     "prove_or_refute", "render", "satisfies", "sequent", "subformulas",
 ]

@@ -145,44 +145,29 @@ def _cmd_refute(args: argparse.Namespace) -> int:
     return 1
 
 
-def _report_defects(defects: list, args: argparse.Namespace) -> int:
+# Each check command's certificate kind -> (JSON decoder, checker).
+_CHECKS = {
+    "proof": (proof_from_json, check_proof),
+    "model": (model_from_json, check_frame),
+    "refutation": (refutation_from_json, check_refutation),
+}
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    kind = args.command.removeprefix("check-")
+    decode, check = _CHECKS[kind]
+    try:
+        certificate = decode(_read_json(args.path))
+    except ValueError as exc:
+        raise CliError(f"schema error: {exc}") from exc
+    defects = check(certificate, _logic(args))
     if args.format == "json":
         _emit_json({"ok": not defects, "defects": [str(d) for d in defects]})
+    elif args.format == "dot" and kind == "model" and not defects:
+        print(model_to_dot(certificate))
     else:
-        if defects:
-            for d in defects:
-                print(d)
-        else:
-            print("ok")
+        print("\n".join(map(str, defects)) if defects else "ok")
     return 0 if not defects else 1
-
-
-def _cmd_check_proof(args: argparse.Namespace) -> int:
-    try:
-        tree = proof_from_json(_read_json(args.path))
-    except ValueError as exc:
-        raise CliError(f"schema error: {exc}") from exc
-    return _report_defects(check_proof(tree, _logic(args)), args)
-
-
-def _cmd_check_refutation(args: argparse.Namespace) -> int:
-    try:
-        tree = refutation_from_json(_read_json(args.path))
-    except ValueError as exc:
-        raise CliError(f"schema error: {exc}") from exc
-    return _report_defects(check_refutation(tree, _logic(args)), args)
-
-
-def _cmd_check_model(args: argparse.Namespace) -> int:
-    try:
-        model = model_from_json(_read_json(args.path))
-    except ValueError as exc:
-        raise CliError(f"schema error: {exc}") from exc
-    violations = check_frame(model, _logic(args))
-    if args.format == "dot" and not violations:
-        print(model_to_dot(model))
-        return 0
-    return _report_defects(violations, args)
 
 
 def _crosscheck_one(f: Formula, logic: Logic, bound: int,
@@ -313,20 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_refute)
 
-    p = subs.add_parser("check-proof", help="validate a proof JSON file")
-    _add_common(p, with_formula=False)
-    p.add_argument("path", help="proof JSON file")
-    p.set_defaults(func=_cmd_check_proof)
-
-    p = subs.add_parser("check-model", help="validate a model JSON file")
-    _add_common(p, with_formula=False)
-    p.add_argument("path", help="model JSON file")
-    p.set_defaults(func=_cmd_check_model)
-
-    p = subs.add_parser("check-refutation", help="validate a refutation JSON file")
-    _add_common(p, with_formula=False)
-    p.add_argument("path", help="refutation JSON file")
-    p.set_defaults(func=_cmd_check_refutation)
+    for kind in _CHECKS:
+        p = subs.add_parser(f"check-{kind}", help=f"validate a {kind} JSON file")
+        _add_common(p, with_formula=False)
+        p.add_argument("path", help=f"{kind} JSON file")
+        p.set_defaults(func=_cmd_check)
 
     p = subs.add_parser("crosscheck", help="compare the prover against the brute-force oracle")
     _add_common(p)

@@ -20,10 +20,17 @@ class Formula:
 
     Each node computes its hash, connective count and rendered text once,
     when it is built, from the values its children already hold: none of
-    them recurses, and nothing is cached outside the node.
+    them recurses, and nothing is cached outside the node.  Two formulas are
+    equal when their texts are, so comparing them does not recurse either.
     """
 
     __slots__ = ("_hash", "_size", "_text", "_level", "_subs")
+
+    def __eq__(self, other: object) -> bool:
+        # render is injective, so equal texts mean equal trees.
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self is other or self._text == other._text
 
     def __post_init__(self) -> None:
         fields = tuple(vars(self).values())
@@ -40,15 +47,7 @@ class Formula:
         return self._hash
 
 
-def _node(cls: type) -> type:
-    """A frozen dataclass that keeps Formula's stored hash; a bare
-    @dataclass(frozen=True) would give each subclass a recursive __hash__."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Formula.__hash__
-    return cls
-
-
-@_node
+@dataclass(frozen=True, eq=False)  # keeps Formula's __eq__ and __hash__
 class Var(Formula):
     name: str
 
@@ -58,30 +57,30 @@ class Var(Formula):
         super().__post_init__()
 
 
-@_node
+@dataclass(frozen=True, eq=False)
 class Bottom(Formula):
     pass
 
 
-@_node
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True, eq=False)
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True, eq=False)
 class K(Formula):
     body: Formula
 
@@ -140,6 +139,7 @@ def _at(f: Formula, min_level: int) -> str:
 
 BOT = Bottom()
 BINARY_OPS: dict[str, type] = {"and": And, "or": Or, "imp": Imp}
+_JSON_OP = {Var: "var", Bottom: "bot", K: "k", **{cls: op for op, cls in BINARY_OPS.items()}}
 
 
 def render(f: Formula) -> str:
@@ -194,82 +194,55 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message: str) -> FormulaSyntaxError:
-        pos = self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.text)
-        return FormulaSyntaxError(message, pos)
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek() == "imp":
-            self.next()
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "or":
-            self.next()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "and":
-            self.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind = self.peek()
-        if kind == "k":
-            self.next()
-            return K(self.unary())
-        if kind == "neg":
-            self.next()
-            return Imp(self.unary(), BOT)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind = self.peek()
-        if kind == "var":
-            return Var(self.next()[1])
-        if kind == "bot":
-            self.next()
-            return BOT
-        if kind == "lp":
-            self.next()
-            f = self.imp()
-            if self.peek() != "rp":
-                raise self.fail("expected ')'")
-            self.next()
-            return f
-        raise self.fail("expected a formula")
+_PREC = {"imp": 1, "or": 2, "and": 3}  # binary operators; higher binds tighter
 
 
 def parse(text: str) -> Formula:
     """Parse the ASCII syntax: atoms, `false`/`_|_`, prefix `K` and `~`,
-    then `&`, then `|`, then right-associative `->`; parentheses allowed."""
-    parser = _Parser(text)
-    if not parser.tokens:
+    then `&`, then `|`, then right-associative `->`; parentheses allowed.
+
+    One loop over the tokens with an operand stack and an operator stack,
+    on which "lp" marks an open parenthesis, so nesting depth is not bounded
+    by Python's recursion limit."""
+    tokens = _tokenize(text)
+    if not tokens:
         raise FormulaSyntaxError("empty input", 0)
-    f = parser.imp()
-    if parser.i != len(parser.tokens):
-        raise parser.fail("trailing input")
-    return f
+    operands: list[Formula] = []
+    ops: list[str] = []
+    want_operand = True
+    for kind, value, pos in [*tokens, (None, "", len(text))]:
+        if want_operand:
+            if kind in ("k", "neg", "lp"):
+                ops.append(kind)
+                continue
+            if kind not in ("var", "bot"):
+                raise FormulaSyntaxError("expected a formula", pos)
+            operands.append(Var(value) if kind == "var" else BOT)
+        else:
+            if kind not in ("and", "or", "imp", "rp", None):
+                raise FormulaSyntaxError("expected ')'" if "lp" in ops else "trailing input", pos)
+            prec = _PREC.get(kind, 0)
+            while ops and ops[-1] in _PREC and (
+                    _PREC[ops[-1]] > prec or (_PREC[ops[-1]] == prec and kind != "imp")):
+                right = operands.pop()
+                operands.append(BINARY_OPS[ops.pop()](operands.pop(), right))
+            if kind in _PREC:
+                ops.append(kind)
+                want_operand = True
+                continue
+            if kind is None:  # the end; only an open parenthesis can be left
+                if ops:
+                    raise FormulaSyntaxError("expected ')'", pos)
+                break
+            if not ops:
+                raise FormulaSyntaxError("trailing input", pos)
+            ops.pop()  # the "lp" this ")" closes
+        # An operand is complete: apply the prefix operators in front of it.
+        while ops and ops[-1] in ("k", "neg"):
+            f = operands.pop()
+            operands.append(K(f) if ops.pop() == "k" else Imp(f, BOT))
+        want_operand = False
+    return operands[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,33 +250,44 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 
 def formula_to_json(f: Formula) -> dict:
-    if isinstance(f, Var):
-        return {"op": "var", "name": f.name}
-    if isinstance(f, Bottom):
-        return {"op": "bot"}
-    if isinstance(f, K):
-        return {"op": "k", "body": formula_to_json(f.body)}
-    for op, cls in BINARY_OPS.items():
-        if isinstance(f, cls):
-            return {"op": op, "left": formula_to_json(f.left), "right": formula_to_json(f.right)}
-    raise TypeError(f"not a formula: {f!r}")
+    root: dict = {}
+    stack = [(f, root)]
+    while stack:
+        g, obj = stack.pop()
+        obj["op"] = _JSON_OP[type(g)]
+        for key, value in vars(g).items():  # name, body, or left and right
+            if isinstance(value, Formula):
+                obj[key] = {}
+                stack.append((value, obj[key]))
+            else:
+                obj[key] = value
+    return root
 
 
 def formula_from_json(obj: object) -> Formula:
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise ValueError(f"not a formula object: {obj!r}")
-    op = obj["op"]
-    if op == "var":
-        name = obj.get("name")
-        if not isinstance(name, str):
-            raise ValueError("var needs a string 'name'")
-        return Var(name)
-    if op == "bot":
-        return BOT
-    if op == "k":
-        return K(formula_from_json(obj.get("body")))
-    if isinstance(op, str) and op in BINARY_OPS:  # a JSON op may be unhashable
-        left = formula_from_json(obj.get("left"))
-        right = formula_from_json(obj.get("right"))
-        return BINARY_OPS[op](left, right)
-    raise ValueError(f"unknown op: {op!r}")
+    """Decode in two passes: a pre-order walk checks every object, left to
+    right, and builds the leaves; then the compound nodes, children first."""
+    built: dict[int, Formula] = {}
+    compound: list[tuple[dict, type, tuple[str, ...]]] = []
+    stack = [obj]
+    while stack:
+        o = stack.pop()
+        if not isinstance(o, dict) or "op" not in o:
+            raise ValueError(f"not a formula object: {o!r}")
+        op = o["op"]
+        if op == "var":
+            name = o.get("name")
+            if not isinstance(name, str):
+                raise ValueError("var needs a string 'name'")
+            built[id(o)] = Var(name)
+        elif op == "bot":
+            built[id(o)] = BOT
+        elif op == "k" or (isinstance(op, str) and op in BINARY_OPS):  # op may be unhashable
+            keys = ("body",) if op == "k" else ("left", "right")
+            compound.append((o, K if op == "k" else BINARY_OPS[op], keys))
+            stack.extend(o.get(key) for key in reversed(keys))
+        else:
+            raise ValueError(f"unknown op: {op!r}")
+    for o, cls, keys in reversed(compound):
+        built[id(o)] = cls(*(built[id(o[key])] for key in keys))
+    return built[id(obj)]

@@ -18,8 +18,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .formula import (BINARY_OPS, BOT, And, Bottom, Formula, Imp, K, Or, Var, connective_count,
-                      subformulas)
-from .kripke import KripkeModel, check_frame, depth
+                      render, subformulas)
+from .kripke import KripkeModel, check_frame, depth, model_to_json
 from .prover import Proof, decide, outcome_defect
 from .sequent import Logic
 
@@ -35,8 +35,6 @@ class OracleReport:
 
 
 def oracle_report_to_json(r: OracleReport) -> dict:
-    from .formula import render
-    from .kripke import model_to_json
     return {
         "formula": render(r.formula),
         "logic": r.logic.value,

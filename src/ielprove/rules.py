@@ -40,7 +40,6 @@ from .sequent import (
 @dataclass(frozen=True)
 class Instantiation:
     rule: str
-    principal: tuple[Formula, ...]
     premises: tuple[Sequent, ...]
 
 
@@ -89,9 +88,9 @@ def derivation_depth(t: Derivation) -> int:
 # The rule schema
 # ---------------------------------------------------------------------------
 
-# Each builder yields (principal formulas, premises) for every way its rule
-# fires on a sequent, principals ordered by rendered text.
-_Built = Iterator[tuple[tuple[Formula, ...], tuple[Sequent, ...]]]
+# Each builder yields the premises of every way its rule fires on a
+# sequent, in the order of the principal formulas' rendered texts.
+_Built = Iterator[tuple[Sequent, ...]]
 
 
 def _principals(part: frozenset[Formula], cls: type) -> list[Formula]:
@@ -100,32 +99,30 @@ def _principals(part: frozenset[Formula], cls: type) -> list[Formula]:
 
 def _and_l(s: Sequent) -> _Built:
     for f in _principals(s.gamma, And):
-        yield (f,), (
-            Sequent(s.theta, (s.gamma - {f}) | {f.left, f.right}, s.delta, s.e_flag),)
+        yield (Sequent(s.theta, (s.gamma - {f}) | {f.left, f.right}, s.delta, s.e_flag),)
 
 
 def _and_r(s: Sequent) -> _Built:
     for f in _principals(s.delta, And):
-        yield (f,), tuple(Sequent(s.theta, s.gamma, (s.delta - {f}) | {g}, s.e_flag)
-                          for g in (f.left, f.right))
+        yield tuple(Sequent(s.theta, s.gamma, (s.delta - {f}) | {g}, s.e_flag)
+                    for g in (f.left, f.right))
 
 
 def _or_l(s: Sequent) -> _Built:
     for f in _principals(s.gamma, Or):
-        yield (f,), tuple(Sequent(s.theta, (s.gamma - {f}) | {g}, s.delta, s.e_flag)
-                          for g in (f.left, f.right))
+        yield tuple(Sequent(s.theta, (s.gamma - {f}) | {g}, s.delta, s.e_flag)
+                    for g in (f.left, f.right))
 
 
 def _or_r(s: Sequent) -> _Built:
     for f in _principals(s.delta, Or):
-        yield (f,), (
-            Sequent(s.theta, s.gamma, (s.delta - {f}) | {f.left, f.right}, s.e_flag),)
+        yield (Sequent(s.theta, s.gamma, (s.delta - {f}) | {f.left, f.right}, s.e_flag),)
 
 
 def _imp_l(s: Sequent) -> _Built:
     for f in _principals(s.gamma, Imp):
         rest = s.gamma - {f}
-        yield (f,), (
+        yield (
             Sequent(s.theta, rest | {f.right}, s.delta, s.e_flag),
             Sequent(s.theta | {f.right}, rest, s.delta | {f.left}, s.e_flag),
             Sequent(frozenset({f.right}), s.theta | rest, frozenset({f.left}), False))
@@ -133,7 +130,7 @@ def _imp_l(s: Sequent) -> _Built:
 
 def _imp_r(s: Sequent) -> _Built:
     for f in _principals(s.delta, Imp):
-        yield (f,), (
+        yield (
             Sequent(s.theta, s.gamma | {f.left}, (s.delta - {f}) | {f.right}, s.e_flag),
             Sequent(frozenset(), s.theta | s.gamma | {f.left}, frozenset({f.right}), False))
 
@@ -141,7 +138,7 @@ def _imp_r(s: Sequent) -> _Built:
 def _k_l(s: Sequent) -> _Built:
     for f in _principals(s.gamma, K):
         rest = (s.gamma - {f}) | {f.body}
-        yield (f,), (
+        yield (
             Sequent(frozenset({BOT}), rest, s.delta, True),
             Sequent(frozenset({BOT}), s.theta | rest, frozenset({BOT}), True))
 
@@ -151,19 +148,19 @@ def _k_r(s: Sequent) -> _Built:
     ks = _principals(s.gamma, K)
     rest = (s.gamma - frozenset(ks)) | frozenset(g.body for g in ks)
     for f in _principals(s.delta, K):
-        yield (f, *ks), (
+        yield (
             Sequent(s.theta, rest, (s.delta - {f}) | {f.body}, True),
             Sequent(frozenset(), s.theta | rest, frozenset({f.body}), False))
 
 
 def _e_k_l(s: Sequent) -> _Built:
     for f in _principals(s.gamma, K):
-        yield (f,), (Sequent(s.theta, (s.gamma - {f}) | {f.body}, s.delta, True),)
+        yield (Sequent(s.theta, (s.gamma - {f}) | {f.body}, s.delta, True),)
 
 
 def _e_k_r(s: Sequent) -> _Built:
     for f in _principals(s.delta, K):
-        yield (f,), (Sequent(s.theta, s.gamma, (s.delta - {f}) | {f.body}, True),)
+        yield (Sequent(s.theta, s.gamma, (s.delta - {f}) | {f.body}, True),)
 
 
 # The validity rules in canonical order.  Rules named with an e apply to
@@ -210,20 +207,12 @@ def rule_instances(rule: str, s: Sequent, logic: Logic) -> Iterator[Instantiatio
     if (build is None or rule.startswith("e") != s.e_flag
             or (rule == "KL" and logic is not Logic.IEL)):
         return
-    for principal, premises in build(s):
+    for premises in build(s):
         # Termination and the depth bound rest on this; raised rather than
         # asserted so that it also holds under -O.
         if not all(p.size < s.size for p in premises):
             raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
-        yield Instantiation(rule, principal, premises)
-
-
-def instantiations(s: Sequent, logic: Logic) -> list[Instantiation]:
-    """All rule instantiations applicable to an active sequent, in canonical
-    order: fixed rule order, principals ordered by rendered text."""
-    if not liel_active(s, logic):
-        raise ValueError(f"terminal sequent: {sequent_text(s)}")
-    return [inst for rule in RULES for inst in rule_instances(rule, s, logic)]
+        yield Instantiation(rule, premises)
 
 
 # ---------------------------------------------------------------------------

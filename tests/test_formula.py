@@ -63,6 +63,14 @@ class TestParse:
         with pytest.raises(FormulaSyntaxError):
             parse("(a -> b")
 
+    @pytest.mark.parametrize("text,rendered", [
+        ("K " * 1500 + "a", "K " * 1500 + "a"),
+        ("(" * 2000 + "a" + ")" * 2000, "a"),
+        (" -> ".join(["a"] * 1200), " -> ".join(["a"] * 1200)),
+    ], ids=["k-chain", "parentheses", "imp-chain"])
+    def test_deep_input_without_recursion(self, text, rendered):
+        assert render(parse(text)) == rendered
+
     @pytest.mark.parametrize("text,message,position", [
         ("", "empty input", 0),
         ("   ", "empty input", 0),
@@ -106,7 +114,8 @@ class TestRender:
 
     @given(formulas)
     def test_roundtrip(self, f):
-        assert parse(render(f)) == f
+        # Formulas compare by text, so compare the trees themselves.
+        assert formula_to_json(parse(render(f))) == formula_to_json(f)
 
 
 def _internal_nodes(f: Formula) -> int:
@@ -148,7 +157,7 @@ class TestMeasures:
 class TestJson:
     @given(formulas)
     def test_roundtrip(self, f):
-        assert formula_from_json(formula_to_json(f)) == f
+        assert formula_to_json(formula_from_json(formula_to_json(f))) == formula_to_json(f)
 
     def test_rejects_unknown_op(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 """The invariants the search and its memo table lean on: stored formula hashes,
-stored sequent sizes, the premise-shrink check in instantiations, and the
+stored sequent sizes, the premise-shrink check in rule_instances, and the
 model depth carried next to each refutation."""
 
 import gc
@@ -17,7 +17,7 @@ from ielprove.kripke import depth
 from ielprove.oracle import random_formulas
 from ielprove.prover import _search, decide, outcome_defect, piel
 from ielprove.refuter import refutation_model
-from ielprove.rules import instantiations
+from ielprove.rules import RULES, rule_instances
 from ielprove.sequent import Logic, Sequent, liel_active, sequent
 
 
@@ -53,7 +53,7 @@ class TestSequentSize:
     def test_premise_sizes_are_the_connective_sum(self, s, logic):
         if not liel_active(s, logic):
             return
-        for inst in instantiations(s, logic):
+        for inst in (i for rule in RULES for i in rule_instances(rule, s, logic)):
             for p in inst.premises:
                 assert p.size == _recomputed_size(p)
                 assert p.size < s.size
@@ -71,9 +71,15 @@ class TestFormulaHash:
         assert g == h and hash(g) == hash(h) == hash(f)
 
     def test_deep_chain_hashes_without_recursion(self):
-        f = Var("a")
-        for _ in range(5000):
-            f = K(f)
+        def chain():
+            f = Var("a")
+            for _ in range(5000):
+                f = K(f)
+            return f
+
+        f, g = chain(), chain()
+        assert f == g and f is not g and len({f, g}) == 1
+        assert f != K(f)
         assert isinstance(hash(f), int)
         assert hash(f) != hash(K(f))
         assert f in {f}
@@ -119,11 +125,11 @@ class TestShrinkCheck:
         s = sequent([], [], [parse("a -> b")])
 
         def stuck(s):
-            yield tuple(s.delta), (s,)
+            yield (s,)
 
         monkeypatch.setitem(rules.RULE_TABLE, "ImpR", stuck)
         with pytest.raises(AssertionError, match="premise failed to shrink"):
-            instantiations(s, Logic.IEL)
+            list(rule_instances("ImpR", s, Logic.IEL))
         with pytest.raises(AssertionError, match="premise failed to shrink"):
             piel(s, Logic.IEL)
 
@@ -133,9 +139,9 @@ class TestShrinkCheck:
             "from ielprove.formula import parse\n"
             "from ielprove.sequent import Logic, sequent\n"
             "s = sequent([], [], [parse('a -> b')])\n"
-            "rules.RULE_TABLE['ImpR'] = lambda s: iter([((), (s,))])\n"
+            "rules.RULE_TABLE['ImpR'] = lambda s: iter([(s,)])\n"
             "try:\n"
-            "    rules.instantiations(s, Logic.IEL)\n"
+            "    list(rules.rule_instances('ImpR', s, Logic.IEL))\n"
             "except AssertionError:\n"
             "    print('rejected')\n"
         )
