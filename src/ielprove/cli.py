@@ -335,6 +335,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # the proof search and the JSON decoder recurse
+        print("error: input is nested too deeply", file=sys.stderr)
+        return 2
     except Exception as exc:  # exit 1 means "invalid", never "crashed"
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -11,10 +11,9 @@ rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
-from .formula import And, Bottom, Formula, Imp, K, Or, Var
+from .formula import And, Bottom, Formula, Imp, K, Or, Var, connective_count, subformulas
 from .sequent import Logic, Sequent
 
 
@@ -28,30 +27,6 @@ class KripkeModel:
     leq: frozenset[Pair]
     e_rel: frozenset[Pair]
     valuation: dict[int, frozenset[str]]
-
-    def up(self, w: int) -> tuple[int, ...]:
-        """Worlds v with w <= v."""
-        return self._succ.get(w, ())
-
-    def e_up(self, w: int) -> tuple[int, ...]:
-        """Worlds v with w E v."""
-        return self._esucc.get(w, ())
-
-    # Adjacency maps are derived data, cached on first use.
-    @cached_property
-    def _succ(self) -> dict[int, tuple[int, ...]]:
-        return _adjacency(self.worlds, self.leq)
-
-    @cached_property
-    def _esucc(self) -> dict[int, tuple[int, ...]]:
-        return _adjacency(self.worlds, self.e_rel)
-
-
-def _adjacency(worlds: frozenset[int], rel: frozenset[Pair]) -> dict[int, tuple[int, ...]]:
-    out: dict[int, list[int]] = {w: [] for w in sorted(worlds)}
-    for a, b in sorted(rel):
-        out[a].append(b)
-    return {w: tuple(vs) for w, vs in out.items()}
 
 
 @dataclass(frozen=True)
@@ -107,35 +82,37 @@ def check_frame(m: KripkeModel, logic: Logic) -> list[Violation]:
 # Forcing and sequent satisfaction
 # ---------------------------------------------------------------------------
 
-def forces(m: KripkeModel, w: int, f: Formula) -> bool:
-    """Recursive forcing, assuming m passes check_frame for the logic in use."""
-    if w not in m.worlds:
-        raise ValueError(f"unknown world: {w}")
-    memo: dict[tuple[int, Formula], bool] = {}
-
-    def go(v: int, g: Formula) -> bool:
-        key = (v, g)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+def _forcing(m: KripkeModel, formulas: Iterable[Formula]) -> dict[Formula, frozenset[int]]:
+    """For each subformula g of the formulas, the worlds of m that force g,
+    computed children-first, assuming m passes check_frame for the logic in
+    use."""
+    out: dict[Formula, frozenset[int]] = {}
+    for g in sorted(frozenset().union(*map(subformulas, formulas)), key=connective_count):
         if isinstance(g, Var):
-            res = g.name in m.valuation.get(v, frozenset())
+            ws = frozenset(w for w in m.worlds if g.name in m.valuation.get(w, frozenset()))
         elif isinstance(g, Bottom):
-            res = False
+            ws = frozenset()
         elif isinstance(g, And):
-            res = go(v, g.left) and go(v, g.right)
+            ws = out[g.left] & out[g.right]
         elif isinstance(g, Or):
-            res = go(v, g.left) or go(v, g.right)
+            ws = out[g.left] | out[g.right]
         elif isinstance(g, Imp):
-            res = all(not go(u, g.left) or go(u, g.right) for u in m.up(v))
+            bad = out[g.left] - out[g.right]
+            ws = m.worlds - {a for a, b in m.leq if b in bad}
         elif isinstance(g, K):
-            res = all(go(u, g.body) for u in m.e_up(v))
+            body = out[g.body]
+            ws = m.worlds - {a for a, b in m.e_rel if b not in body}
         else:
             raise TypeError(f"not a formula: {g!r}")
-        memo[key] = res
-        return res
+        out[g] = ws
+    return out
 
-    return go(w, f)
+
+def forces(m: KripkeModel, w: int, f: Formula) -> bool:
+    """Whether w forces f, assuming m passes check_frame for the logic in use."""
+    if w not in m.worlds:
+        raise ValueError(f"unknown world: {w}")
+    return w in _forcing(m, [f])[f]
 
 
 def satisfies(m: KripkeModel, w: int, s: Sequent) -> bool:
@@ -145,29 +122,25 @@ def satisfies(m: KripkeModel, w: int, s: Sequent) -> bool:
         raise ValueError(f"unknown world: {w}")
     if s.e_flag and (w, w) not in m.e_rel:
         return False
-    if not all(forces(m, w, f) for f in s.gamma):
-        return False
-    if any(forces(m, w, f) for f in s.delta):
-        return False
-    for v in m.up(w):
-        if v != w and not all(forces(m, v, f) for f in s.theta):
-            return False
-    return True
+    table = _forcing(m, s.theta | s.gamma | s.delta)
+    above = [v for a, v in m.leq if a == w != v]
+    return (all(w in table[f] for f in s.gamma)
+            and not any(w in table[f] for f in s.delta)
+            and all(v in table[f] for f in s.theta for v in above))
 
 
 def depth(m: KripkeModel) -> int:
-    """Maximum number of worlds on an order chain from the root."""
-    memo: dict[int, int] = {}
-
-    def chain(w: int) -> int:
-        hit = memo.get(w)
-        if hit is not None:
-            return hit
-        best = 1 + max((chain(v) for v in m.up(w) if v != w), default=0)
-        memo[w] = best
-        return best
-
-    return chain(m.root)
+    """Maximum number of worlds on an order chain from the root.  A world
+    has fewer strict successors than any world strictly below it, so in
+    that order each world comes after all of its strict successors."""
+    above: dict[int, list[int]] = {w: [] for w in m.worlds}
+    for a, b in m.leq:
+        if a != b:
+            above[a].append(b)
+    chain: dict[int, int] = {}
+    for w in sorted(above, key=lambda w: len(above[w])):
+        chain[w] = 1 + max((chain[v] for v in above[w]), default=0)
+    return chain[m.root]
 
 
 # ---------------------------------------------------------------------------

@@ -175,9 +175,9 @@ def _orders(n: int, k: int, logic: Logic) -> tuple[_Order, ...]:
                                  for i, e in enumerate(e_rels) if (w, u) in e))
                   for u in range(n) if any((w, u) in e for e in e_rels))
             for w in range(n))
-        m = KripkeModel(worlds, 0, leq, frozenset(), {})
-        out.append(_Order(leq, tuple(e_rels), tuple(ups), depth(m),
-                          tuple(m.up(w) for w in range(n)), e_up,
+        up = tuple(tuple(sorted(b for a, b in leq if a == w)) for w in range(n))
+        out.append(_Order(leq, tuple(e_rels), tuple(ups),
+                          depth(KripkeModel(worlds, 0, leq, frozenset(), {})), up, e_up,
                           _variable_masks(ups, n, k, len(e_rels)), size, full))
     return tuple(out)
 

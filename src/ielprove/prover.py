@@ -46,37 +46,29 @@ class Countermodel:
 Outcome = Union[Proof, Countermodel]
 
 
-@dataclass
-class _Res:
-    """A proof, or a refutation and the depth of the model it maps onto."""
-    proof: Optional[Derivation] = None
-    refutation: Optional[Refutation] = None
-    depth: int = 0
-
-
 _NONINVERTIBLE = ("ImpR", "KR", "eImpR", "ImpL", "eImpL")
 
+_Memo = dict[Sequent, tuple[Derivation, int]]
 
-def _search(s: Sequent, logic: Logic, memo: dict[Sequent, _Res]) -> _Res:
-    """Decide s, reusing the results of earlier subsequents of one call:
-    _step is a pure function of (sequent, logic), so a memo hit is exactly
-    what recomputing would return."""
+
+def _search(s: Sequent, logic: Logic, memo: _Memo) -> tuple[Derivation, int]:
+    """Decide s: a proof and depth 0, or a refutation and the depth (at
+    least 1) of the model it maps onto.  The memo keeps the results of one
+    call's earlier subsequents: _step is a pure function of (sequent,
+    logic), so a memo hit is exactly what recomputing would return."""
     hit = memo.get(s)
-    if hit is not None:
-        return hit
-    res = _step(s, logic, memo)
-    assert (res.proof is not None) != (res.refutation is not None)
-    memo[s] = res
-    return res
+    if hit is None:
+        hit = memo[s] = _step(s, logic, memo)
+    return hit
 
 
-def _step(s: Sequent, logic: Logic, memo: dict[Sequent, _Res]) -> _Res:
+def _step(s: Sequent, logic: Logic, memo: _Memo) -> tuple[Derivation, int]:
     name = liel_axiom(s)
     if name is not None:
-        return _Res(proof=axiom_leaf(s, name))
+        return axiom_leaf(s, name), 0
     name = riel_axiom(s, logic)
     if name is not None:
-        return _Res(refutation=axiom_leaf(s, name), depth=1)
+        return axiom_leaf(s, name), 1
 
     for rule in INVERTIBLE:
         inst = next(rule_instances(rule, s, logic), None)
@@ -94,34 +86,32 @@ def _step(s: Sequent, logic: Logic, memo: dict[Sequent, _Res]) -> _Res:
 
 
 def _choose(s: Sequent, insts: list[Instantiation], logic: Logic,
-            memo: dict[Sequent, _Res]) -> _Res:
+            memo: _Memo) -> tuple[Derivation, int]:
     """Decide s by its rule instances: a proof by the first instance whose
     premises are all provable, otherwise the refutation of least depth,
     ties to the first.  A refuted premise refutes s on its own (KL2 adds a
     world below its model), except a rightmost premise of ImpL, ImpR or KR:
     those are glued under a fresh root, and only when every instance's is
     refuted; the Glue candidate comes last."""
-    candidates: list[_Res] = []
-    glued: list[_Res] = []
+    candidates: list[tuple[Derivation, int]] = []
+    glued: list[tuple[Derivation, int]] = []
     for inst in insts:
         subs = [_search(p, logic, memo) for p in inst.premises]
-        if all(x.proof is not None for x in subs):
-            return _Res(proof=rule_node(s, inst.rule, tuple(x.proof for x in subs)))
-        for i, x in enumerate(subs):
-            if x.refutation is None:
+        if not any(d for _, d in subs):
+            return rule_node(s, inst.rule, tuple(t for t, _ in subs)), 0
+        for i, (t, d) in enumerate(subs):
+            if not d:
                 continue
             name = REFUTATIONS[(inst.rule, i)]
             if name in ("Glue", "eGlue"):
-                glued.append(x)
+                glued.append((t, d))
             else:
-                candidates.append(_Res(refutation=rule_node(s, name, (x.refutation,)),
-                                       depth=x.depth + (name == "KL2")))
+                candidates.append((rule_node(s, name, (t,)), d + (name == "KL2")))
     if len(glued) == len(insts):
-        candidates.append(_Res(
-            refutation=rule_node(s, "eGlue" if s.e_flag else "Glue",
-                                 tuple(x.refutation for x in glued)),
-            depth=1 + max(x.depth for x in glued)))
-    return min(candidates, key=lambda r: r.depth)
+        candidates.append((rule_node(s, "eGlue" if s.e_flag else "Glue",
+                                     tuple(t for t, _ in glued)),
+                           1 + max(d for _, d in glued)))
+    return min(candidates, key=lambda r: r[1])
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +122,8 @@ def piel(s: Sequent, logic: Logic) -> Outcome:
     """Decide a sequent: a proof if it is provable, otherwise a Kripke
     countermodel of minimal depth whose root satisfies it, built from the
     refutation that prove_or_refute returns."""
-    res = _search(s, logic, {})
-    if res.proof is not None:
-        return Proof(res.proof)
-    return Countermodel(refutation_model(res.refutation, logic))
+    tree, d = _search(s, logic, {})
+    return Countermodel(refutation_model(tree, logic)) if d else Proof(tree)
 
 
 def decide(f: Formula, logic: Logic) -> Outcome:
@@ -148,10 +136,8 @@ def prove_or_refute(s: Sequent, logic: Logic) -> Union[Proof, Refutation]:
     refutation in the refutational calculus, never both.  Returns a proof
     exactly when piel does; piel's countermodel is this refutation's
     model."""
-    res = _search(s, logic, {})
-    if res.proof is not None:
-        return Proof(res.proof)
-    return res.refutation
+    tree, d = _search(s, logic, {})
+    return tree if d else Proof(tree)
 
 
 def prove_or_refute_formula(f: Formula, logic: Logic) -> Union[Proof, Refutation]:

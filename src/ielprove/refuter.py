@@ -114,16 +114,26 @@ def refutation_model(t: Refutation, logic: Logic) -> KripkeModel:
     models of their children under a fresh root, every other rule passes
     its child's model through.  The root of the result satisfies the root
     sequent of the refutation."""
-    s = t.sequent
-    if not t.children:
-        return single_world(gamma_vars(s), logic is Logic.IEL or s.e_flag)
-    if t.rule in ("Glue", "eGlue", "KL2"):
-        # A KL2 sequent is plain with an atomic third compartment: no KR links.
-        subs = [refutation_model(c, logic) for c in t.children]
-        k_right = {inst.premises[-1] for inst in rule_instances("KR", s, logic)}
-        links = [i for i, c in enumerate(t.children) if c.sequent in k_right]
-        return glue(gamma_vars(s), subs, s.e_flag, e_link_roots=links)
-    return refutation_model(t.children[0], logic)
+    nodes, stack = [], [t]
+    while stack:  # pre-order
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children)
+    models: dict[int, KripkeModel] = {}
+    for node in reversed(nodes):  # every child before its parent
+        s, children = node.sequent, node.children
+        if not children:
+            model = single_world(gamma_vars(s), logic is Logic.IEL or s.e_flag)
+        elif node.rule in ("Glue", "eGlue", "KL2"):
+            # A KL2 sequent is plain with an atomic third compartment: no KR links.
+            k_right = {inst.premises[-1] for inst in rule_instances("KR", s, logic)}
+            links = [i for i, c in enumerate(children) if c.sequent in k_right]
+            model = glue(gamma_vars(s), [models[id(c)] for c in children], s.e_flag,
+                         e_link_roots=links)
+        else:
+            model = models[id(children[0])]
+        models[id(node)] = model
+    return models[id(t)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,13 @@ from ielprove.cli import main
 from ielprove.formula import parse, render
 from ielprove.kripke import check_frame, model_from_json, satisfies
 from ielprove.refuter import check_refutation, refutation_from_json
-from ielprove.rules import check_proof, proof_from_json
+from ielprove.rules import (
+    axiom_leaf,
+    check_proof,
+    derivation_json,
+    proof_from_json,
+    rule_node,
+)
 from ielprove.sequent import Logic, Sequent
 
 CORPUS = str(Path(__file__).resolve().parent.parent / "corpus" / "paper.txt")
@@ -358,6 +364,29 @@ class TestExitCodeContract:
         assert run.returncode == 2
         assert "Traceback" not in run.stderr
         assert "error:" in run.stderr
+
+    TOO_DEEP = (2, "", "error: input is nested too deeply\n")
+
+    def test_over_deep_certificate_is_one_documented_line(self, capsys, tmp_path):
+        # A 600-node AndL chain: json.load recurses two levels a node.
+        s = Sequent(gamma=frozenset({parse("a & b")}), delta=frozenset({parse("c")}))
+        t = axiom_leaf(s, "Id")
+        for _ in range(600):
+            t = rule_node(s, "AndL", (t,))
+        path = tmp_path / "deep.json"
+        path.write_text(derivation_json(t))
+        assert run(capsys, "check-proof", str(path)) == self.TOO_DEEP
+
+    def test_over_deep_formula_is_one_documented_line(self, capsys):
+        # The proof search recurses.
+        assert run(capsys, "decide", "~" * 400 + "a") == self.TOO_DEEP
+
+    def test_other_exception_names_its_type(self, capsys, monkeypatch):
+        def broken(f, logic):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "decide", broken)
+        assert run(capsys, "decide", "a") == (2, "", "error: KeyError: 'x'\n")
 
     def test_unexpected_exception_is_one_line(self, capsys):
         code, out, err = run(capsys, "decide", "~" * 400 + "a")

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -95,8 +96,17 @@ class TestForces:
     def test_final_worlds_e_reflexive_in_iel(self):
         for m in enumerate_models(frozenset({"a"}), 3, Logic.IEL):
             for w in m.worlds:
-                if all(v == w for v in m.up(w)):
+                if all(v == w for u, v in m.leq if u == w):
                     assert (w, w) in m.e_rel
+
+    @pytest.mark.parametrize("vars, expected", [(["a"], True), ([], False)])
+    def test_deep_k_chain_without_recursion(self, vars, expected):
+        f = a
+        for _ in range(5000):
+            f = K(f)
+        m = single_world(vars, e_reflexive=True)
+        assert forces(m, 0, f) is expected
+        assert satisfies(m, 0, sequent([], [], [f])) is not expected
 
 
 class TestSatisfies:
@@ -137,6 +147,13 @@ class TestDepth:
         m = glue([], [single_world(["b"], True), single_world(["a"], True)], False)
         assert depth(m) == 2
         assert len(m.worlds) == 3
+
+    def test_long_chain_without_recursion(self):
+        n = sys.getrecursionlimit() + 200
+        chain = KripkeModel(frozenset(range(n)), 0,
+                            frozenset((i, j) for i in range(n) for j in range(i, n)),
+                            frozenset(), {})
+        assert depth(chain) == n
 
 
 class TestGlue:
@@ -190,7 +207,8 @@ class TestGlueKl:
                 m = glue([], [sub], False)
                 assert check_frame(m, logic) == []
                 ren = {w: 1 + i for i, w in enumerate(sorted(sub.worlds))}
-                assert set(m.e_up(0)) == {ren[v] for v in sub.e_up(sub.root)}
+                assert ({v for u, v in m.e_rel if u == 0}
+                        == {ren[v] for u, v in sub.e_rel if u == sub.root})
 
     def test_persistence_guard(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from ielprove.refuter import (
     extract_model,
     glue_premises,
     refutation_from_json,
+    refutation_model,
     refutation_to_json,
 )
 from ielprove.rules import Defect
@@ -186,6 +187,13 @@ class TestExtractModel:
     def test_sat_leaf_serial_under_iel(self):
         t = Refutation(sequent([], [a], [b]), None, "Sat", ())
         assert extract_model(t, Logic.IEL) == single_world(["a"], e_reflexive=True)
+
+    def test_long_pass_through_chain_without_recursion(self):
+        s = sequent([], [a], [b])
+        t = Refutation(s, None, "Sat", ())
+        for _ in range(3000):
+            t = Refutation(s, "AndL", None, (t,))
+        assert refutation_model(t, Logic.IEL) == single_world(["a"], e_reflexive=True)
 
     def test_invalid_refutation_rejected(self):
         t = Refutation(sequent([], [parse("a & b")], []), None, None, ())
