@@ -1,6 +1,7 @@
 """The invariants the search and its memo table lean on: stored formula hashes,
-stored sequent sizes, the premise-shrink check in rule_instances, and the
-model depth carried next to each refutation."""
+stored sequent sizes, the premise-shrink check in rule_instances, the model
+depth carried next to each refutation, and a rule instance on every sequent
+that is neither an axiom nor flat."""
 
 import gc
 import subprocess
@@ -11,14 +12,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import formulas
-from ielprove import rules
+from ielprove import prover, rules
 from ielprove.formula import And, Bottom, Imp, K, Or, Var, parse, render, subformulas
 from ielprove.kripke import depth
 from ielprove.oracle import random_formulas
 from ielprove.prover import _search, decide, outcome_defect, piel
 from ielprove.refuter import refutation_model
-from ielprove.rules import RULES, rule_instances
-from ielprove.sequent import Logic, Sequent, liel_active, sequent
+from ielprove.rules import INVERTIBLE, RULES, rule_instances
+from ielprove.sequent import Logic, Sequent, liel_active, liel_axiom, liel_flat, sequent
 
 
 def _count(f) -> int:
@@ -62,6 +63,20 @@ class TestSequentSize:
         s = sequent([], [K(Var("a"))], [Var("a")])
         assert s == Sequent(s.theta, s.gamma, s.delta, s.e_flag)
         assert "size" not in repr(s)
+
+
+class TestFlatMeansNoRule:
+    @given(sequents)
+    def test_flat_exactly_when_no_axiom_and_no_instance(self, s):
+        for logic in Logic:
+            no_instance = all(next(rule_instances(rule, s, logic), None) is None
+                              for rule in RULES)
+            assert liel_flat(s, logic) == (liel_axiom(s) is None and no_instance)
+
+    def test_the_search_tries_every_rule(self):
+        # With the property above, a sequent the search expands has an
+        # instance of some rule it tries.
+        assert set(RULES) == set(INVERTIBLE) | set(prover._NONINVERTIBLE) | {"KL"}
 
 
 class TestFormulaHash:
