@@ -23,6 +23,7 @@ from .refuter import (
     extract_model,
     refutation_from_json,
     refutation_json,
+    refutation_model,
 )
 from .rules import check_proof, derivation_json, derivation_text, proof_from_json
 from .sequent import Logic
@@ -37,6 +38,8 @@ def _logic(args: argparse.Namespace) -> Logic:
 
 
 def _read_formula(args: argparse.Namespace) -> Formula:
+    if args.file is not None and args.formula is not None:
+        raise CliError("give a formula or --file, not both")
     if args.file is not None:
         try:
             with open(args.file, encoding="utf-8") as handle:
@@ -77,71 +80,49 @@ def _verify(f: Formula, outcome: Outcome, logic: Logic) -> None:
         raise CliError(f"internal checker defect: {defect}")
 
 
-def _print_proof(args: argparse.Namespace, f: Formula, proof: Proof, note: str = "") -> int:
-    logic = _logic(args)
-    _verify(f, proof, logic)
-    if args.format == "json":
-        _emit_json({"status": "valid"}, proof=derivation_json(proof.tree))
-    elif args.format == "dot":
-        raise CliError("dot output needs a model certificate; the formula is valid")
-    else:
-        print(f"valid ({logic.value}): {render(f)}{note}")
-        print(derivation_text(proof.tree))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_decide(args: argparse.Namespace, print_model: bool = True) -> int:
+def _cmd_decide(args: argparse.Namespace) -> int:
+    """decide, prove and refute: one search, then the proof, or the model of
+    the refutation.  Only refute checks the refutation itself and prints
+    it; prove prints the model only with --model."""
     f = _read_formula(args)
     logic = _logic(args)
-    outcome = decide(f, logic)
-    if isinstance(outcome, Proof):
-        return _print_proof(args, f, outcome)
-    _verify(f, outcome, logic)
-    model = outcome.model
-    if not print_model:
-        if args.format == "json":
-            _emit_json({"status": "invalid"})
-        else:
-            print(f"invalid ({logic.value}): {render(f)}")
-        return 1
-    if args.format == "json":
-        _emit_json({"status": "invalid", "model": model_to_json(model)})
-    elif args.format == "dot":
-        print(model_to_dot(model))
-    else:
-        print(f"invalid ({logic.value}): {render(f)}")
-        print(model_text(model))
-    return 1
-
-
-def _cmd_prove(args: argparse.Namespace) -> int:
-    return _cmd_decide(args, print_model=args.model)
-
-
-def _cmd_refute(args: argparse.Namespace) -> int:
-    f = _read_formula(args)
-    logic = _logic(args)
+    refute = args.command == "refute"
     out = prove_or_refute_formula(f, logic)
     if isinstance(out, Proof):
-        return _print_proof(args, f, out, " (no refutation exists)")
-    try:
-        model = extract_model(out, logic)  # checks the refutation first
-    except ValueError as exc:
-        raise CliError(f"internal checker defect: {exc}") from exc
+        _verify(f, out, logic)
+        if args.format == "json":
+            _emit_json({"status": "valid"}, proof=derivation_json(out.tree))
+        elif args.format == "dot":
+            raise CliError("dot output needs a model certificate; the formula is valid")
+        else:
+            note = " (no refutation exists)" if refute else ""
+            print(f"valid ({logic.value}): {render(f)}{note}")
+            print(derivation_text(out.tree))
+        return 0
+    if refute:
+        try:
+            model = extract_model(out, logic)  # checks the refutation first
+        except ValueError as exc:
+            raise CliError(f"internal checker defect: {exc}") from exc
+    else:
+        model = refutation_model(out, logic)
     _verify(f, Countermodel(model), logic)
     if args.format == "json":
-        _emit_json({"status": "invalid", "model": model_to_json(model)},
-                   refutation=refutation_json(out))
-    elif args.format == "dot":
+        shown = {"model": model_to_json(model)} if args.model else {}
+        encoded = {"refutation": refutation_json(out)} if refute else {}
+        _emit_json({"status": "invalid", **shown}, **encoded)
+    elif args.format == "dot" and args.model:
         print(model_to_dot(model))
     else:
         print(f"invalid ({logic.value}): {render(f)}")
-        print(derivation_text(out))
-        print(model_text(model))
+        if refute:
+            print(derivation_text(out))
+        if args.model:
+            print(model_text(model))
     return 1
 
 
@@ -287,16 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("decide", help="prove the formula or print a countermodel")
     _add_common(p)
-    p.set_defaults(func=_cmd_decide)
+    p.set_defaults(func=_cmd_decide, model=True)
 
     p = subs.add_parser("prove", help="like decide, but print no model unless --model")
     _add_common(p)
     p.add_argument("--model", action="store_true", help="print the countermodel on failure")
-    p.set_defaults(func=_cmd_prove)
+    p.set_defaults(func=_cmd_decide)
 
     p = subs.add_parser("refute", help="run the refutational search; print refutation and model")
     _add_common(p)
-    p.set_defaults(func=_cmd_refute)
+    p.set_defaults(func=_cmd_decide, model=True)
 
     for kind in _CHECKS:
         p = subs.add_parser(f"check-{kind}", help=f"validate a {kind} JSON file")

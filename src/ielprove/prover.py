@@ -27,10 +27,11 @@ from .rules import (
     Instantiation,
     axiom_leaf,
     check_proof,
+    riel_axiom,
     rule_instances,
     rule_node,
 )
-from .sequent import Logic, Sequent, liel_axiom, riel_axiom
+from .sequent import Logic, Sequent, liel_axiom
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,7 @@ def _step(s: Sequent, logic: Logic, memo: _Memo) -> tuple[Derivation, int]:
             return _choose(s, [inst], logic, memo)
 
     insts = [inst for rule in _NONINVERTIBLE for inst in rule_instances(rule, s, logic)]
-    if not insts:
-        # Left K rule, IEL only; reached exactly when the second compartment
-        # is variables and K-formulas and the third is atomic.
-        inst = next(rule_instances("KL", s, logic), None)
-        assert inst is not None, f"active sequent with no applicable rule: {s}"
-        insts = [inst]
-    return _choose(s, insts, logic, memo)
+    return _choose(s, insts or [next(rule_instances("KL", s, logic))], logic, memo)
 
 
 def _choose(s: Sequent, insts: list[Instantiation], logic: Logic,
@@ -122,8 +117,8 @@ def piel(s: Sequent, logic: Logic) -> Outcome:
     """Decide a sequent: a proof if it is provable, otherwise a Kripke
     countermodel of minimal depth whose root satisfies it, built from the
     refutation that prove_or_refute returns."""
-    tree, d = _search(s, logic, {})
-    return Countermodel(refutation_model(tree, logic)) if d else Proof(tree)
+    out = prove_or_refute(s, logic)
+    return out if isinstance(out, Proof) else Countermodel(refutation_model(out, logic))
 
 
 def decide(f: Formula, logic: Logic) -> Outcome:
@@ -133,9 +128,7 @@ def decide(f: Formula, logic: Logic) -> Outcome:
 
 def prove_or_refute(s: Sequent, logic: Logic) -> Union[Proof, Refutation]:
     """The combined procedure: a proof of the validity calculus or a
-    refutation in the refutational calculus, never both.  Returns a proof
-    exactly when piel does; piel's countermodel is this refutation's
-    model."""
+    refutation in the refutational calculus, never both."""
     tree, d = _search(s, logic, {})
     return tree if d else Proof(tree)
 

@@ -24,9 +24,10 @@ from .rules import (
     derivation_from_json,
     derivation_json,
     derivation_to_json,
+    riel_axiom,
     rule_instances,
 )
-from .sequent import Logic, Sequent, atoms_only, gamma_vars, riel_axiom, riel_flat, sequent_text
+from .sequent import Logic, Sequent, atoms_only, gamma_vars, riel_flat, sequent_text
 
 Refutation = Derivation
 

@@ -1,12 +1,15 @@
 """The rule schema of both calculi for IEL and IEL-, and their derivations.
 
 RULE_TABLE is the one rule schema: for each rule of the validity calculus,
-in canonical order, how it instantiates bottom-up on a three-compartment
-sequent.  Every refutational rule is one premise of a validity rule, and
-REFUTATIONS names it.  The calculus for IEL- is the same rule set minus
-the left K rule on plain sequents.  Proofs and refutations share one tree
-type, one checker skeleton (rule validity is the calculus's own; the depth
-bound and the subformula property are common) and one JSON codec.
+in canonical order, the compartment and connective of its principal
+formulas and how it instantiates bottom-up on one of them.  Every
+refutational rule is one premise of a validity rule, and REFUTATIONS names
+it.  The calculus for IEL- is the same rule set minus the left K rule on
+plain sequents.  A sequent is flat when it is no axiom and no rule has a
+principal in it, so the flat tests (liel_flat, liel_active, riel_axiom)
+read the table too.  Proofs and refutations share one tree type, one
+checker skeleton (rule validity is the calculus's own; the depth bound and
+the subformula property are common) and one JSON codec.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .formula import (
 from .sequent import (
     Logic,
     Sequent,
-    liel_active,
+    liel_axiom,
     sequent_from_json,
     sequent_text,
     sequent_to_json,
@@ -88,91 +91,103 @@ def derivation_depth(t: Derivation) -> int:
 # The rule schema
 # ---------------------------------------------------------------------------
 
-# Each builder yields the premises of every way its rule fires on a
-# sequent, in the order of the principal formulas' rendered texts.
-_Built = Iterator[tuple[Sequent, ...]]
+# A rule fires once per principal: a formula of its connective in its
+# compartment (gamma, the second, or delta, the third), in the order of the
+# formulas' rendered texts.  Its builder gives the premises for one principal.
+_Build = Callable[[Sequent, Formula], tuple[Sequent, ...]]
 
 
 def _principals(part: frozenset[Formula], cls: type) -> list[Formula]:
     return sorted_formulas(f for f in part if isinstance(f, cls))
 
 
-def _and_l(s: Sequent) -> _Built:
-    for f in _principals(s.gamma, And):
-        yield (Sequent(s.theta, (s.gamma - {f}) | {f.left, f.right}, s.delta, s.e_flag),)
+def _and_l(s: Sequent, f: And) -> tuple[Sequent, ...]:
+    return (Sequent(s.theta, (s.gamma - {f}) | {f.left, f.right}, s.delta, s.e_flag),)
 
 
-def _and_r(s: Sequent) -> _Built:
-    for f in _principals(s.delta, And):
-        yield tuple(Sequent(s.theta, s.gamma, (s.delta - {f}) | {g}, s.e_flag)
-                    for g in (f.left, f.right))
+def _and_r(s: Sequent, f: And) -> tuple[Sequent, ...]:
+    return tuple(Sequent(s.theta, s.gamma, (s.delta - {f}) | {g}, s.e_flag)
+                 for g in (f.left, f.right))
 
 
-def _or_l(s: Sequent) -> _Built:
-    for f in _principals(s.gamma, Or):
-        yield tuple(Sequent(s.theta, (s.gamma - {f}) | {g}, s.delta, s.e_flag)
-                    for g in (f.left, f.right))
+def _or_l(s: Sequent, f: Or) -> tuple[Sequent, ...]:
+    return tuple(Sequent(s.theta, (s.gamma - {f}) | {g}, s.delta, s.e_flag)
+                 for g in (f.left, f.right))
 
 
-def _or_r(s: Sequent) -> _Built:
-    for f in _principals(s.delta, Or):
-        yield (Sequent(s.theta, s.gamma, (s.delta - {f}) | {f.left, f.right}, s.e_flag),)
+def _or_r(s: Sequent, f: Or) -> tuple[Sequent, ...]:
+    return (Sequent(s.theta, s.gamma, (s.delta - {f}) | {f.left, f.right}, s.e_flag),)
 
 
-def _imp_l(s: Sequent) -> _Built:
-    for f in _principals(s.gamma, Imp):
-        rest = s.gamma - {f}
-        yield (
-            Sequent(s.theta, rest | {f.right}, s.delta, s.e_flag),
-            Sequent(s.theta | {f.right}, rest, s.delta | {f.left}, s.e_flag),
-            Sequent(frozenset({f.right}), s.theta | rest, frozenset({f.left}), False))
+def _imp_l(s: Sequent, f: Imp) -> tuple[Sequent, ...]:
+    rest = s.gamma - {f}
+    return (
+        Sequent(s.theta, rest | {f.right}, s.delta, s.e_flag),
+        Sequent(s.theta | {f.right}, rest, s.delta | {f.left}, s.e_flag),
+        Sequent(frozenset({f.right}), s.theta | rest, frozenset({f.left}), False))
 
 
-def _imp_r(s: Sequent) -> _Built:
-    for f in _principals(s.delta, Imp):
-        yield (
-            Sequent(s.theta, s.gamma | {f.left}, (s.delta - {f}) | {f.right}, s.e_flag),
-            Sequent(frozenset(), s.theta | s.gamma | {f.left}, frozenset({f.right}), False))
+def _imp_r(s: Sequent, f: Imp) -> tuple[Sequent, ...]:
+    return (
+        Sequent(s.theta, s.gamma | {f.left}, (s.delta - {f}) | {f.right}, s.e_flag),
+        Sequent(frozenset(), s.theta | s.gamma | {f.left}, frozenset({f.right}), False))
 
 
-def _k_l(s: Sequent) -> _Built:
-    for f in _principals(s.gamma, K):
-        rest = (s.gamma - {f}) | {f.body}
-        yield (
-            Sequent(frozenset({BOT}), rest, s.delta, True),
-            Sequent(frozenset({BOT}), s.theta | rest, frozenset({BOT}), True))
+def _k_l(s: Sequent, f: K) -> tuple[Sequent, ...]:
+    rest = (s.gamma - {f}) | {f.body}
+    return (
+        Sequent(frozenset({BOT}), rest, s.delta, True),
+        Sequent(frozenset({BOT}), s.theta | rest, frozenset({BOT}), True))
 
 
-def _k_r(s: Sequent) -> _Built:
+def _k_r(s: Sequent, f: K) -> tuple[Sequent, ...]:
     # Every K-formula on the left is extracted, whichever K-formula is the target.
-    ks = _principals(s.gamma, K)
-    rest = (s.gamma - frozenset(ks)) | frozenset(g.body for g in ks)
-    for f in _principals(s.delta, K):
-        yield (
-            Sequent(s.theta, rest, (s.delta - {f}) | {f.body}, True),
-            Sequent(frozenset(), s.theta | rest, frozenset({f.body}), False))
+    ks = frozenset(g for g in s.gamma if isinstance(g, K))
+    rest = (s.gamma - ks) | frozenset(g.body for g in ks)
+    return (
+        Sequent(s.theta, rest, (s.delta - {f}) | {f.body}, True),
+        Sequent(frozenset(), s.theta | rest, frozenset({f.body}), False))
 
 
-def _e_k_l(s: Sequent) -> _Built:
-    for f in _principals(s.gamma, K):
-        yield (Sequent(s.theta, (s.gamma - {f}) | {f.body}, s.delta, True),)
+def _e_k_l(s: Sequent, f: K) -> tuple[Sequent, ...]:
+    return (Sequent(s.theta, (s.gamma - {f}) | {f.body}, s.delta, True),)
 
 
-def _e_k_r(s: Sequent) -> _Built:
-    for f in _principals(s.delta, K):
-        yield (Sequent(s.theta, s.gamma, (s.delta - {f}) | {f.body}, True),)
+def _e_k_r(s: Sequent, f: K) -> tuple[Sequent, ...]:
+    return (Sequent(s.theta, s.gamma, (s.delta - {f}) | {f.body}, True),)
 
 
-# The validity rules in canonical order.  Rules named with an e apply to
-# E-sequents only, the others to plain sequents only.
-RULE_TABLE: dict[str, Callable[[Sequent], _Built]] = {
-    "AndL": _and_l, "AndR": _and_r, "OrL": _or_l, "OrR": _or_r,
-    "ImpL": _imp_l, "ImpR": _imp_r, "KL": _k_l, "KR": _k_r,
-    "eAndL": _and_l, "eAndR": _and_r, "eOrL": _or_l, "eOrR": _or_r,
-    "eImpL": _imp_l, "eImpR": _imp_r, "eKL": _e_k_l, "eKR": _e_k_r,
+# The validity rules in canonical order: (compartment, connective, build).
+RULE_TABLE: dict[str, tuple[str, type, _Build]] = {
+    "AndL": ("gamma", And, _and_l), "AndR": ("delta", And, _and_r),
+    "OrL": ("gamma", Or, _or_l), "OrR": ("delta", Or, _or_r),
+    "ImpL": ("gamma", Imp, _imp_l), "ImpR": ("delta", Imp, _imp_r),
+    "KL": ("gamma", K, _k_l), "KR": ("delta", K, _k_r),
+    "eAndL": ("gamma", And, _and_l), "eAndR": ("delta", And, _and_r),
+    "eOrL": ("gamma", Or, _or_l), "eOrR": ("delta", Or, _or_r),
+    "eImpL": ("gamma", Imp, _imp_l), "eImpR": ("delta", Imp, _imp_r),
+    "eKL": ("gamma", K, _e_k_l), "eKR": ("delta", K, _e_k_r),
 }
 
 RULES = tuple(RULE_TABLE)
+
+
+def _fires_on(rule: str, e_flag: bool, logic: Logic) -> bool:
+    """Rules named with an e fire on E-sequents only, the others on plain
+    sequents only; the left K rule on plain sequents exists only under IEL."""
+    return rule.startswith("e") == e_flag and (rule != "KL" or logic is Logic.IEL)
+
+
+# (E-flag, logic) -> the connectives that make a formula of the second and
+# of the third compartment a principal.  The flat test reads them on every
+# search step, so they are derived from RULE_TABLE once, here.
+_CONNECTIVES = {
+    (e_flag, logic): tuple(
+        tuple(dict.fromkeys(cls for rule, (where, cls, _) in RULE_TABLE.items()
+                            if where == part and _fires_on(rule, e_flag, logic)))
+        for part in ("gamma", "delta"))
+    for e_flag in (False, True) for logic in Logic
+}
 
 # The invertible rules, in the order the search tries them, single-premise
 # ones first.  Glue and eGlue fire only where none of them has an instance.
@@ -201,18 +216,48 @@ REFUTATIONS = {
 
 def rule_instances(rule: str, s: Sequent, logic: Logic) -> Iterator[Instantiation]:
     """The instantiations of one validity rule on s, lazily, in canonical
-    order.  The left K rule on plain sequents exists only under IEL; an
-    unknown name has no instantiations."""
-    build = RULE_TABLE.get(rule)
-    if (build is None or rule.startswith("e") != s.e_flag
-            or (rule == "KL" and logic is not Logic.IEL)):
+    order; a rule that does not fire on s, or an unknown name, has none."""
+    entry = RULE_TABLE.get(rule)
+    if entry is None or not _fires_on(rule, s.e_flag, logic):
         return
-    for premises in build(s):
+    part, cls, build = entry
+    for f in _principals(getattr(s, part), cls):
+        premises = build(s, f)
         # Termination and the depth bound rest on this; raised rather than
         # asserted so that it also holds under -O.
         if not all(p.size < s.size for p in premises):
             raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
         yield Instantiation(rule, premises)
+
+
+# ---------------------------------------------------------------------------
+# Terminal sequents
+# ---------------------------------------------------------------------------
+
+def liel_flat(s: Sequent, logic: Logic) -> bool:
+    """No rule of the validity calculus applies and s is not an axiom: no
+    formula of s is a principal of a rule that fires on it."""
+    left, right = _CONNECTIVES[s.e_flag, logic]
+    return (liel_axiom(s) is None
+            and not any(isinstance(f, left) for f in s.gamma)
+            and not any(isinstance(f, right) for f in s.delta))
+
+
+def liel_active(s: Sequent, logic: Logic) -> bool:
+    """Some rule of the validity calculus applies: s is neither an axiom
+    nor flat."""
+    return liel_axiom(s) is None and not liel_flat(s, logic)
+
+
+def riel_axiom(s: Sequent, logic: Logic) -> Optional[str]:
+    """Axiom name for the refutational calculus, or None: its axioms are the
+    flat sequents of the validity calculus.  kSat is the IEL- case that the
+    left K rule of IEL would still expand."""
+    if not liel_flat(s, logic):
+        return None
+    if s.e_flag:
+        return "eSat"
+    return "Sat" if liel_flat(s, Logic.IEL) else "kSat"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Three-compartment sequents and their terminal tests.
+"""Three-compartment sequents, their axiom tests and their text and JSON forms.
 
 A sequent <Theta ; Gamma => Delta> has three finite formula sets and an
 E-flag; E-sequents additionally commit their satisfying world to E-reach
 itself.  Terminal sequents split into axioms and flat sequents, with the
 axiom/flat roles swapped between the validity calculus and the refutational
-calculus.
+calculus.  The axioms of the validity calculus are tested here; a flat
+sequent is one that no rule applies to, so the flat tests live with the
+rule table (rules.liel_flat, rules.riel_axiom).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .formula import (
     BOT,
     Bottom,
     Formula,
-    K,
     Var,
     connective_count,
     formula_from_json,
@@ -57,16 +58,8 @@ def gamma_vars(s: Sequent) -> frozenset[str]:
     return frozenset(f.name for f in s.gamma if isinstance(f, Var))
 
 
-def _vars_only(fs: frozenset[Formula]) -> bool:
-    return all(isinstance(f, Var) for f in fs)
-
-
 def atoms_only(fs: frozenset[Formula]) -> bool:
     return all(isinstance(f, (Var, Bottom)) for f in fs)
-
-
-def _vars_or_k(fs: frozenset[Formula]) -> bool:
-    return all(isinstance(f, (Var, K)) for f in fs)
 
 
 # ---------------------------------------------------------------------------
@@ -84,37 +77,6 @@ def liel_axiom(s: Sequent) -> Optional[str]:
     if s.gamma & s.delta:
         return "eId" if s.e_flag else "Id"
     return None
-
-
-def liel_flat(s: Sequent, logic: Logic) -> bool:
-    """No rule of the validity calculus applies (and s is not an axiom).
-
-    Under IEL the second compartment must hold variables only; under IEL-
-    a non-E sequent may additionally keep K-formulas on the left, since the
-    calculus for IEL- has no left rule for K on plain sequents.
-    """
-    if s.e_flag or logic is Logic.IEL:
-        gamma_ok = _vars_only(s.gamma)
-    else:
-        gamma_ok = _vars_or_k(s.gamma)
-    return gamma_ok and atoms_only(s.delta) and not (s.gamma & s.delta)
-
-
-def liel_active(s: Sequent, logic: Logic) -> bool:
-    """Some rule of the validity calculus applies: s is neither an axiom
-    nor flat."""
-    return liel_axiom(s) is None and not liel_flat(s, logic)
-
-
-def riel_axiom(s: Sequent, logic: Logic) -> Optional[str]:
-    """Axiom name for the refutational calculus, or None: its axioms are the
-    flat sequents of the validity calculus.  kSat is the IEL- case whose
-    second compartment keeps a K-formula."""
-    if not liel_flat(s, logic):
-        return None
-    if s.e_flag:
-        return "eSat"
-    return "Sat" if _vars_only(s.gamma) else "kSat"
 
 
 def riel_flat(s: Sequent) -> bool:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import formulas
-from ielprove import cli, oracle, prover, refuter
+from ielprove import cli, prover, refuter
 from ielprove.cli import main
 from ielprove.formula import parse, render
 from ielprove.kripke import check_frame, model_from_json, satisfies
@@ -267,32 +267,27 @@ class TestBatch:
         assert code == 2
 
 
-def _clear_e(outcome):
-    """An IEL countermodel with no E-edges: it breaks Im3."""
-    return prover.Countermodel(replace(outcome.model, e_rel=frozenset()))
-
-
-def _wrong_rule(outcome):
-    """A proof whose root claims a rule that cannot have produced it."""
-    return prover.Proof(replace(outcome.tree, rule="OrR"))
-
-
 class TestRejectedCertificates:
     """decide answers with a certificate its checker rejects."""
 
-    CASES = [("invalid", "K a -> a", _clear_e), ("valid", "a -> K a", _wrong_rule)]
-
-    @pytest.fixture(params=CASES, ids=["countermodel", "proof"])
+    @pytest.fixture(params=["countermodel", "proof"])
     def case(self, request, monkeypatch):
-        status, formula, tamper = request.param
-        original = prover.decide
+        if request.param == "countermodel":
+            build = refuter.refutation_model
 
-        def tampered(f, logic):
-            return tamper(original(f, logic))
+            def clear_e(t, logic):  # an IEL countermodel with no E-edges breaks Im3
+                return replace(build(t, logic), e_rel=frozenset())
 
-        monkeypatch.setattr(cli, "decide", tampered)
-        monkeypatch.setattr(oracle, "decide", tampered)
-        return status, formula
+            monkeypatch.setattr(cli, "refutation_model", clear_e)
+            monkeypatch.setattr(prover, "refutation_model", clear_e)
+            return "invalid", "K a -> a"
+        search = prover.prove_or_refute
+
+        def wrong_rule(s, logic):  # the root claims a rule that cannot have produced it
+            return prover.Proof(replace(search(s, logic).tree, rule="OrR"))
+
+        monkeypatch.setattr(prover, "prove_or_refute", wrong_rule)
+        return "valid", "a -> K a"
 
     def test_decide_reports_a_checker_defect(self, capsys, case):
         code, out, err = run(capsys, "decide", case[1])
@@ -377,6 +372,13 @@ class TestExitCodeContract:
         path.write_text(derivation_json(t))
         assert run(capsys, "check-proof", str(path)) == self.TOO_DEEP
 
+    @pytest.mark.parametrize("command", ["decide", "prove", "refute", "crosscheck"])
+    def test_formula_and_file_together_is_an_error(self, capsys, tmp_path, command):
+        path = tmp_path / "formula.txt"
+        path.write_text("K a -> a\n")
+        assert run(capsys, command, "a -> a", "--file", str(path)) == (
+            2, "", "error: give a formula or --file, not both\n")
+
     def test_over_deep_formula_is_one_documented_line(self, capsys):
         # The proof search recurses.
         assert run(capsys, "decide", "~" * 400 + "a") == self.TOO_DEEP
@@ -385,7 +387,7 @@ class TestExitCodeContract:
         def broken(f, logic):
             raise KeyError("x")
 
-        monkeypatch.setattr(cli, "decide", broken)
+        monkeypatch.setattr(cli, "prove_or_refute_formula", broken)
         assert run(capsys, "decide", "a") == (2, "", "error: KeyError: 'x'\n")
 
     def test_unexpected_exception_is_one_line(self, capsys):

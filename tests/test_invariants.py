@@ -18,8 +18,8 @@ from ielprove.kripke import depth
 from ielprove.oracle import random_formulas
 from ielprove.prover import _search, decide, outcome_defect, piel
 from ielprove.refuter import refutation_model
-from ielprove.rules import INVERTIBLE, RULES, rule_instances
-from ielprove.sequent import Logic, Sequent, liel_active, liel_axiom, liel_flat, sequent
+from ielprove.rules import INVERTIBLE, RULES, liel_active, liel_flat, rule_instances
+from ielprove.sequent import Logic, Sequent, liel_axiom, sequent
 
 
 def _count(f) -> int:
@@ -139,10 +139,10 @@ class TestShrinkCheck:
     def test_non_shrinking_premise_is_rejected(self, monkeypatch):
         s = sequent([], [], [parse("a -> b")])
 
-        def stuck(s):
-            yield (s,)
+        def stuck(s, f):
+            return (s,)
 
-        monkeypatch.setitem(rules.RULE_TABLE, "ImpR", stuck)
+        monkeypatch.setitem(rules.RULE_TABLE, "ImpR", ("delta", Imp, stuck))
         with pytest.raises(AssertionError, match="premise failed to shrink"):
             list(rule_instances("ImpR", s, Logic.IEL))
         with pytest.raises(AssertionError, match="premise failed to shrink"):
@@ -151,10 +151,10 @@ class TestShrinkCheck:
     def test_check_survives_optimised_mode(self):
         code = (
             "from ielprove import rules\n"
-            "from ielprove.formula import parse\n"
+            "from ielprove.formula import Imp, parse\n"
             "from ielprove.sequent import Logic, sequent\n"
             "s = sequent([], [], [parse('a -> b')])\n"
-            "rules.RULE_TABLE['ImpR'] = lambda s: iter([(s,)])\n"
+            "rules.RULE_TABLE['ImpR'] = ('delta', Imp, lambda s, f: (s,))\n"
             "try:\n"
             "    list(rules.rule_instances('ImpR', s, Logic.IEL))\n"
             "except AssertionError:\n"

@@ -11,12 +11,13 @@ from ielprove.rules import (
     axiom_leaf,
     RULES,
     check_proof,
+    liel_active,
     proof_from_json,
     proof_to_json,
     rule_instances,
     rule_node,
 )
-from ielprove.sequent import Logic, liel_active, sequent
+from ielprove.sequent import Logic, sequent
 
 a, b = Var("a"), Var("b")
 

@@ -4,12 +4,10 @@ import pytest
 
 from conftest import random_sequent
 from ielprove.formula import BOT, K, Var, parse
+from ielprove.rules import liel_active, liel_flat, riel_axiom
 from ielprove.sequent import (
     Logic,
-    liel_active,
     liel_axiom,
-    liel_flat,
-    riel_axiom,
     riel_flat,
     sequent,
     sequent_from_json,
