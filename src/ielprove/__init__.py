@@ -17,7 +17,7 @@ from .formula import (
     subformulas,
 )
 from .kripke import KripkeModel, check_frame, depth, forces, satisfies
-from .oracle import brute_force_invalid, crosscheck, enumerate_models
+from .oracle import brute_force_invalid, enumerate_models
 from .prover import Countermodel, Outcome, Proof, decide, outcome_defect, piel, prove_or_refute
 from .refuter import Refutation, check_refutation, extract_model
 from .rules import Derivation, check_proof
@@ -30,7 +30,7 @@ __all__ = [
     "FormulaSyntaxError", "Imp", "K", "KripkeModel", "Logic", "Or", "Outcome",
     "Proof", "Refutation", "Sequent", "Var", "brute_force_invalid",
     "check_frame", "check_proof", "check_refutation", "connective_count",
-    "crosscheck", "decide", "depth", "enumerate_models", "extract_model",
+    "decide", "depth", "enumerate_models", "extract_model",
     "forces", "outcome_defect", "parse", "piel",
     "prove_or_refute", "render", "satisfies", "sequent", "subformulas",
 ]

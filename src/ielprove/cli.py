@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .formula import Formula, FormulaSyntaxError, parse, render
-from .kripke import check_frame, model_from_json, model_text, model_to_dot, model_to_json
-from .oracle import crosscheck, oracle_report_to_json, random_formulas
+from .kripke import check_frame, depth, model_from_json, model_text, model_to_dot, model_to_json
+from .oracle import brute_force_invalid, oracle_report_to_json, random_formulas
 from .prover import Countermodel, Outcome, Proof, decide, outcome_defect, prove_or_refute_formula
 from .refuter import (
     check_refutation,
@@ -144,54 +144,75 @@ def _cmd_check(args: argparse.Namespace) -> int:
     defects = check(certificate, _logic(args))
     if args.format == "json":
         _emit_json({"ok": not defects, "defects": [str(d) for d in defects]})
-    elif args.format == "dot" and kind == "model" and not defects:
+    elif args.format == "dot" and not defects:  # check-model only
         print(model_to_dot(certificate))
     else:
         print("\n".join(map(str, defects)) if defects else "ok")
     return 0 if not defects else 1
 
 
-def _crosscheck_one(f: Formula, logic: Logic, bound: int,
-                    as_json: bool) -> tuple[bool, Optional[dict]]:
-    report = crosscheck(f, logic, bound)
-    status = "valid" if report.prover_valid else "invalid"
-    if as_json:
-        obj = {
-            "formula": render(f),
-            "logic": logic.value,
-            "status": status,
-            "consistent": report.consistent,
-            "problems": report.problems,
-            "prover_model_depth": report.prover_model_depth,
-            "oracle": oracle_report_to_json(report.oracle),
-        }
-        return report.consistent, obj
-    verdict = "consistent" if report.consistent else "CONTRADICTION"
-    print(f"{verdict}: {status} ({logic.value}) {render(f)}")
-    print(f"  oracle: {report.oracle.models_enumerated} models <= {bound} worlds, "
-          f"min countermodel depth {report.oracle.min_depth_found}")
-    if report.prover_model_depth is not None:
-        print(f"  prover countermodel depth {report.prover_model_depth}")
-    for problem in report.problems:
-        print(f"  problem: {problem}")
-    return report.consistent, None
+def _crosscheck_report(f: Formula, logic: Logic, bound: int) -> dict:
+    """The prover against the oracle on f, as crosscheck prints it.
+
+    A problem is flagged when outcome_defect rejects the prover's
+    certificate, when the prover claims validity but the oracle holds a
+    countermodel, or when the oracle found a strictly shallower
+    countermodel than the prover's."""
+    outcome = decide(f, logic)
+    problems = []
+    defect = outcome_defect(f, outcome, logic)
+    if defect is not None:
+        problems.append(f"prover certificate rejected: {defect}")
+    valid = isinstance(outcome, Proof)
+    model_depth = None if valid else depth(outcome.model)
+    oracle = brute_force_invalid(f, bound, logic)
+    if valid and oracle.countermodel is not None:
+        problems.append("prover says valid but the oracle found a countermodel")
+    if (model_depth is not None and oracle.min_depth_found is not None
+            and oracle.min_depth_found < model_depth):
+        problems.append(
+            f"oracle found depth {oracle.min_depth_found} below prover depth {model_depth}")
+    return {
+        "formula": render(f),
+        "logic": logic.value,
+        "status": "valid" if valid else "invalid",
+        "consistent": not problems,
+        "problems": problems,
+        "prover_model_depth": model_depth,
+        "oracle": oracle_report_to_json(oracle),
+    }
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
+    """Crosscheck a formula, one read from --file, or --random N formulas
+    drawn with --seed; exactly one source."""
     logic = _logic(args)
-    if args.random is not None:
-        formulas = random_formulas(args.random, seed=args.seed)
-    else:
+    if args.random is None:
+        if args.seed is not None:
+            raise CliError("--seed needs --random")
         formulas = [_read_formula(args)]
-    all_ok = True
-    json_reports = []
+    elif args.formula is not None or args.file is not None:
+        raise CliError("give a formula, --file or --random, not more than one")
+    else:
+        formulas = random_formulas(args.random, seed=args.seed or 0)
+    reports = []
     for f in formulas:
-        ok, obj = _crosscheck_one(f, logic, args.bound, args.format == "json")
-        all_ok = all_ok and ok
-        if obj is not None:
-            json_reports.append(obj)
+        report = _crosscheck_report(f, logic, args.bound)
+        reports.append(report)
+        if args.format == "json":
+            continue
+        oracle = report["oracle"]
+        verdict = "consistent" if report["consistent"] else "CONTRADICTION"
+        print(f"{verdict}: {report['status']} ({report['logic']}) {report['formula']}")
+        print(f"  oracle: {oracle['models_enumerated']} models <= {oracle['bound_worlds']} "
+              f"worlds, min countermodel depth {oracle['min_depth_found']}")
+        if report["prover_model_depth"] is not None:
+            print(f"  prover countermodel depth {report['prover_model_depth']}")
+        for problem in report["problems"]:
+            print(f"  problem: {problem}")
+    all_ok = all(report["consistent"] for report in reports)
     if args.format == "json":
-        _emit_json({"consistent": all_ok, "reports": json_reports})
+        _emit_json({"consistent": all_ok, "reports": reports})
     return 0 if all_ok else 1
 
 
@@ -249,11 +270,15 @@ def _int_at_least(low: int):
     return convert
 
 
-def _add_common(sub: argparse.ArgumentParser, with_formula: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, with_formula: bool = True,
+                dot: bool = True) -> None:
+    """--logic and --format, and the formula sources; dot only where the
+    command can print a model."""
     sub.add_argument("--logic", choices=["iel", "iel-"], default="iel",
                      help="logic to decide in (default: iel)")
-    sub.add_argument("--format", choices=["text", "json", "dot"], default="text",
-                     help="output format (dot is valid for model output only)")
+    formats = ("text", "json", "dot") if dot else ("text", "json")
+    sub.add_argument("--format", choices=formats, default="text",
+                     help="output format" + (" (dot draws the model)" if dot else ""))
     if with_formula:
         sub.add_argument("formula", nargs="?", help="formula in ASCII syntax")
         sub.add_argument("--file", help="read the formula from a file instead")
@@ -281,17 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     for kind in _CHECKS:
         p = subs.add_parser(f"check-{kind}", help=f"validate a {kind} JSON file")
-        _add_common(p, with_formula=False)
+        _add_common(p, with_formula=False, dot=kind == "model")
         p.add_argument("path", help=f"{kind} JSON file")
         p.set_defaults(func=_cmd_check)
 
     p = subs.add_parser("crosscheck", help="compare the prover against the brute-force oracle")
-    _add_common(p)
+    _add_common(p, dot=False)
     p.add_argument("--bound", type=_int_at_least(1), default=3,
                    help="world bound for the oracle (default 3)")
     p.add_argument("--random", type=_int_at_least(0), metavar="N",
                    help="crosscheck N random formulas instead of a given one")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int,
                    help="seed for --random (default 0; runs are deterministic)")
     p.set_defaults(func=_cmd_crosscheck)
 

@@ -2,9 +2,10 @@
 
 Enumerates every labelled rooted Kripke model up to a world bound (orders
 with a designated root, E-relations filtered by the frame conditions,
-persistent valuations) to cross-validate prover outcomes and model-depth
-minimality.  The scan works a rooted order at a time: it forces a formula
-in every model on the order at once, one bit per model (per E-relation and
+persistent valuations) and scans them for a countermodel of least depth;
+it knows nothing of the prover, which the crosscheck command compares it
+with.  The scan works a rooted order at a time: it forces a formula in
+every model on the order at once, one bit per model (per E-relation and
 valuation), and builds a KripkeModel only for the countermodel it reports.
 Also hosts the seeded random-formula generator used by the test corpus and
 the crosscheck command.
@@ -13,14 +14,13 @@ the crosscheck command.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .formula import (BINARY_OPS, BOT, And, Bottom, Formula, Imp, K, Or, Var, connective_count,
                       render, subformulas)
 from .kripke import KripkeModel, check_frame, depth, model_to_json
-from .prover import Proof, decide, outcome_defect
 from .sequent import Logic
 
 
@@ -290,42 +290,6 @@ def brute_force_invalid(f: Formula, max_worlds: int, logic: Logic) -> OracleRepo
         count += order.models
     model = None if first is None else _model(first[0], names, first[1], logic)
     return OracleReport(f, logic, max_worlds, model, min_depth, count)
-
-
-@dataclass
-class CrosscheckReport:
-    prover_valid: bool
-    prover_model_depth: Optional[int]
-    oracle: OracleReport
-    problems: list[str] = field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        return not self.problems
-
-
-def crosscheck(f: Formula, logic: Logic, max_worlds: int = 3) -> CrosscheckReport:
-    """Run the decision procedure and the oracle against each other.
-
-    A contradiction is flagged when outcome_defect rejects the prover's
-    certificate, when the prover claims validity but the oracle holds a
-    countermodel, or when the oracle found a strictly shallower
-    countermodel than the prover's.
-    """
-    outcome = decide(f, logic)
-    problems: list[str] = []
-    defect = outcome_defect(f, outcome, logic)
-    if defect is not None:
-        problems.append(f"prover certificate rejected: {defect}")
-    model_depth = None if isinstance(outcome, Proof) else depth(outcome.model)
-    report = brute_force_invalid(f, max_worlds, logic)
-    if isinstance(outcome, Proof) and report.countermodel is not None:
-        problems.append("prover says valid but the oracle found a countermodel")
-    if (model_depth is not None and report.min_depth_found is not None
-            and report.min_depth_found < model_depth):
-        problems.append(
-            f"oracle found depth {report.min_depth_found} below prover depth {model_depth}")
-    return CrosscheckReport(isinstance(outcome, Proof), model_depth, report, problems)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,16 @@ class TestCrosscheck:
         assert code == 0
         assert out.count("consistent:") == 5
 
+    @pytest.mark.parametrize("argv, error", [
+        (("--random", "1", "--seed", "1", "--bound", "2", "a -> a"),
+         "give a formula, --file or --random, not more than one"),
+        (("--random", "1", "--seed", "1", "--bound", "2", "--file", "/nonexistent"),
+         "give a formula, --file or --random, not more than one"),
+        (("--seed", "5", "a -> a"), "--seed needs --random"),
+    ], ids=["random-and-formula", "random-and-file", "seed-without-random"])
+    def test_one_formula_source(self, capsys, argv, error):
+        assert run(capsys, "crosscheck", *argv) == (2, "", f"error: {error}\n")
+
 
 class TestBatch:
     def test_shipped_corpus(self, capsys):
@@ -378,6 +388,20 @@ class TestExitCodeContract:
         path.write_text("K a -> a\n")
         assert run(capsys, command, "a -> a", "--file", str(path)) == (
             2, "", "error: give a formula or --file, not both\n")
+
+    @pytest.mark.parametrize("command", ["check-proof", "check-refutation", "crosscheck"])
+    def test_dot_only_where_a_model_is_drawn(self, capsys, tmp_path, command):
+        # Real certificates: before dot was refused, these printed "ok".
+        _, proof, _ = run(capsys, "decide", "--format", "json", "a -> K a")
+        _, refuted, _ = run(capsys, "refute", "--format", "json", "K a -> a")
+        certificates = {"check-proof": json.loads(proof)["proof"],
+                        "check-refutation": json.loads(refuted)["refutation"]}
+        path = tmp_path / "certificate.json"
+        path.write_text(json.dumps(certificates.get(command)))
+        target = "K a -> a" if command == "crosscheck" else str(path)
+        code, out, err = _main_captured([command, "--format", "dot", target])
+        assert code == 2 and out == ""
+        assert "invalid choice: 'dot'" in err
 
     def test_over_deep_formula_is_one_documented_line(self, capsys):
         # The proof search recurses.

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 
 import ielprove
 from ielprove import oracle
+from ielprove.cli import main
 from ielprove.formula import parse, render
 from ielprove.kripke import KripkeModel, check_frame, forces, model_to_json
 from ielprove.oracle import (
@@ -16,7 +18,6 @@ from ielprove.oracle import (
     _model,
     _orders,
     brute_force_invalid,
-    crosscheck,
     enumerate_models,
     random_formulas,
     variables,
@@ -158,30 +159,58 @@ class TestFrameCheck:
         assert run.stdout.strip() == "rejected", run.stderr
 
 
+def crosscheck(capsys, f, logic, bound):
+    """The report of `crosscheck --format json` on one formula."""
+    code = main(["crosscheck", "--format", "json", "--logic", logic.value,
+                 "--bound", str(bound), render(f)])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == (0 if obj["consistent"] else 1)
+    (report,) = obj["reports"]
+    return report
+
+
 class TestCrosscheck:
-    def test_invalid_agreement(self):
-        r = crosscheck(parse("K(a | b) -> (K a | K b)"), Logic.IEL, 3)
-        assert r.consistent
-        assert not r.prover_valid
-        assert r.oracle.countermodel is not None
+    """The crosscheck command compares the prover with the oracle."""
 
-    def test_valid_agreement(self):
-        r = crosscheck(parse("~~(K a -> a)"), Logic.IEL, 3)
-        assert r.consistent
-        assert r.prover_valid
-        assert r.oracle.countermodel is None
+    def test_invalid_agreement(self, capsys):
+        r = crosscheck(capsys, parse("K(a | b) -> (K a | K b)"), Logic.IEL, 3)
+        assert r["consistent"]
+        assert r["status"] == "invalid"
+        assert r["oracle"]["countermodel"] is not None
 
-    def test_depth_agreement_without_seriality(self):
-        r = crosscheck(parse("K a -> ~~a"), Logic.IEL_MINUS, 2)
-        assert r.consistent
-        assert r.prover_model_depth == 1
-        assert r.oracle.min_depth_found == 1
+    def test_valid_agreement(self, capsys):
+        r = crosscheck(capsys, parse("~~(K a -> a)"), Logic.IEL, 3)
+        assert r["consistent"]
+        assert r["status"] == "valid"
+        assert r["oracle"]["countermodel"] is None
 
-    def test_corpus(self, corpus_records):
+    def test_depth_agreement_without_seriality(self, capsys):
+        r = crosscheck(capsys, parse("K a -> ~~a"), Logic.IEL_MINUS, 2)
+        assert r["consistent"]
+        assert r["prover_model_depth"] == 1
+        assert r["oracle"]["min_depth_found"] == 1
+
+    def test_corpus(self, capsys, corpus_records):
         for valid, logic, f in corpus_records:
-            r = crosscheck(f, logic, 3)
-            assert r.consistent, (render(f), r.problems)
-            assert r.prover_valid == valid
+            r = crosscheck(capsys, f, logic, 3)
+            assert r["consistent"], (render(f), r["problems"])
+            assert (r["status"] == "valid") == valid
+
+
+def test_oracle_imports_no_prover():
+    """The oracle is the ground truth the prover is checked against, so of
+    this package it reads formulas, models and logics only."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    local, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute |= {a.name for a in node.names}
+    assert local == {"formula", "kripke", "sequent"}
+    assert not any(name.split(".")[0] == "ielprove" for name in absolute)
 
 
 class TestCorpusAtBoundFour:
