@@ -87,10 +87,10 @@ def _verify(f: Formula, outcome: Outcome, logic: Logic) -> None:
 def _cmd_decide(args: argparse.Namespace) -> int:
     """decide, prove and refute: one search, then the proof, or the model of
     the refutation.  Only refute checks the refutation itself and prints
-    it; prove prints the model only with --model."""
+    it; prove prints no model."""
     f = _read_formula(args)
     logic = _logic(args)
-    refute = args.command == "refute"
+    refute, prove = args.command == "refute", args.command == "prove"
     out = prove_or_refute_formula(f, logic)
     if isinstance(out, Proof):
         _verify(f, out, logic)
@@ -112,16 +112,16 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         model = refutation_model(out, logic)
     _verify(f, Countermodel(model), logic)
     if args.format == "json":
-        shown = {"model": model_to_json(model)} if args.model else {}
+        shown = {} if prove else {"model": model_to_json(model)}
         encoded = {"refutation": refutation_json(out)} if refute else {}
         _emit_json({"status": "invalid", **shown}, **encoded)
-    elif args.format == "dot" and args.model:
+    elif args.format == "dot":  # decide and refute only
         print(model_to_dot(model))
     else:
         print(f"invalid ({logic.value}): {render(f)}")
         if refute:
             print(derivation_text(out))
-        if args.model:
+        if not prove:
             print(model_text(model))
     return 1
 
@@ -293,16 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("decide", help="prove the formula or print a countermodel")
     _add_common(p)
-    p.set_defaults(func=_cmd_decide, model=True)
+    p.set_defaults(func=_cmd_decide)
 
-    p = subs.add_parser("prove", help="like decide, but print no model unless --model")
-    _add_common(p)
-    p.add_argument("--model", action="store_true", help="print the countermodel on failure")
+    p = subs.add_parser("prove", help="like decide, but print the status and proof only")
+    _add_common(p, dot=False)
     p.set_defaults(func=_cmd_decide)
 
     p = subs.add_parser("refute", help="run the refutational search; print refutation and model")
     _add_common(p)
-    p.set_defaults(func=_cmd_decide, model=True)
+    p.set_defaults(func=_cmd_decide)
 
     for kind in _CHECKS:
         p = subs.add_parser(f"check-{kind}", help=f"validate a {kind} JSON file")

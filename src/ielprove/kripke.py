@@ -255,16 +255,13 @@ def model_from_json(obj: object) -> KripkeModel:
     if not isinstance(val_obj, dict):
         raise ValueError("model 'val' must be an object")
     valuation = {}
+    by_key = {str(w): w for w in worlds}
     for key, names in val_obj.items():
-        try:
-            w = int(key)
-        except ValueError:
-            raise ValueError(f"model 'val' key is not a world: {key!r}") from None
-        if w not in worlds:
-            raise ValueError(f"model 'val' names an unknown world: {w}")
+        if key not in by_key:
+            raise ValueError(f"model 'val' key is not a listed world: {key!r}")
         if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
             raise ValueError("model 'val' entries must be lists of variable names")
-        valuation[w] = frozenset(names)
+        valuation[by_key[key]] = frozenset(Var(x).name for x in names)  # Var checks the name
     return KripkeModel(frozenset(worlds), root, pairs("leq"), pairs("e"), valuation)
 
 

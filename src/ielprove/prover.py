@@ -2,14 +2,13 @@
 
 One recursive search builds derivations only: a proof of the validity
 calculus when the sequent is provable, otherwise a refutation together
-with the depth of the Kripke model it maps onto.  The search handles
-invertible rules first, then the implication/K-right rules, and finally
-falls back to the left K rule under IEL.  At every such node one routine
-(_choose) makes the minimal-depth choice between the refutations of the
-premises and the Glue of all rightmost premises.  piel and decide build
-the countermodel once, from the refutation the search returns
-(refuter.refutation_model).  outcome_defect is the one test that an
-outcome certifies its verdict.
+with the depth of the Kripke model it maps onto.  A sequent that is no
+axiom is decided by the instances rules.expansion gives, or is flat when
+there are none.  One routine (_choose) makes the minimal-depth choice
+between the refutations of the premises and the Glue of all rightmost
+premises.  piel and decide build the countermodel once, from the
+refutation the search returns (refuter.refutation_model).  outcome_defect
+is the one test that an outcome certifies its verdict.
 """
 
 from __future__ import annotations
@@ -21,14 +20,13 @@ from .formula import Formula
 from .kripke import KripkeModel, check_frame, satisfies
 from .refuter import Refutation, refutation_model
 from .rules import (
-    INVERTIBLE,
     REFUTATIONS,
     Derivation,
     Instantiation,
     axiom_leaf,
     check_proof,
+    expansion,
     riel_axiom,
-    rule_instances,
     rule_node,
 )
 from .sequent import Logic, Sequent, liel_axiom
@@ -46,8 +44,6 @@ class Countermodel:
 
 Outcome = Union[Proof, Countermodel]
 
-
-_NONINVERTIBLE = ("ImpR", "KR", "eImpR", "ImpL", "eImpL")
 
 _Memo = dict[Sequent, tuple[Derivation, int]]
 
@@ -67,20 +63,13 @@ def _step(s: Sequent, logic: Logic, memo: _Memo) -> tuple[Derivation, int]:
     name = liel_axiom(s)
     if name is not None:
         return axiom_leaf(s, name), 0
-    name = riel_axiom(s, logic)
-    if name is not None:
-        return axiom_leaf(s, name), 1
-
-    for rule in INVERTIBLE:
-        inst = next(rule_instances(rule, s, logic), None)
-        if inst is not None:
-            return _choose(s, [inst], logic, memo)
-
-    insts = [inst for rule in _NONINVERTIBLE for inst in rule_instances(rule, s, logic)]
-    return _choose(s, insts or [next(rule_instances("KL", s, logic))], logic, memo)
+    insts = expansion(s, logic)
+    if not insts:
+        return axiom_leaf(s, riel_axiom(s, logic)), 1
+    return _choose(s, insts, logic, memo)
 
 
-def _choose(s: Sequent, insts: list[Instantiation], logic: Logic,
+def _choose(s: Sequent, insts: tuple[Instantiation, ...], logic: Logic,
             memo: _Memo) -> tuple[Derivation, int]:
     """Decide s by its rule instances: a proof by the first instance whose
     premises are all provable, otherwise the refutation of least depth,

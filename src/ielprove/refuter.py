@@ -6,7 +6,8 @@ onto a Kripke countermodel (refutation_model), and this mapping is the one
 place countermodels are built: the search in prover.py emits refutations
 only.  Every refutational rule refutes one premise of a validity rule
 (rules.REFUTATIONS), so this module holds only the refutational names, the
-Glue check, the refutation checker and the model mapping.
+Glue check (over the rightmost premises of a non-invertible rules.expansion),
+the refutation checker and the model mapping.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Optional
 from .kripke import KripkeModel, glue, single_world
 from .rules import (
     INVERTIBLE,
+    NONINVERTIBLE,
     REFUTATIONS,
     Defect,
     Derivation,
@@ -24,10 +26,11 @@ from .rules import (
     derivation_from_json,
     derivation_json,
     derivation_to_json,
+    expansion,
     riel_axiom,
     rule_instances,
 )
-from .sequent import Logic, Sequent, atoms_only, gamma_vars, riel_flat, sequent_text
+from .sequent import Logic, Sequent, atoms_only, gamma_vars, liel_axiom, sequent_text
 
 Refutation = Derivation
 
@@ -46,10 +49,9 @@ _PREMISE_OF = {name: key for key, name in REFUTATIONS.items()
 
 def glue_premises(s: Sequent, logic: Logic) -> list[Sequent]:
     """The full premise family of a Glue/eGlue node on s: the rightmost
-    premise of every instance of ImpR, KR (Glue only) and ImpL."""
-    glue_rule = "eGlue" if s.e_flag else "Glue"
-    return [inst.premises[i] for (rule, i), name in REFUTATIONS.items() if name == glue_rule
-            for inst in rule_instances(rule, s, logic)]
+    premise of every instance s is expanded by, when those are the
+    non-invertible ones (ImpR, KR and ImpL); none otherwise."""
+    return [inst.premises[-1] for inst in expansion(s, logic) if inst.rule in NONINVERTIBLE]
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +69,7 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
             return Defect("BadRule", repr(rule))
         if logic is Logic.IEL_MINUS and rule in ("KL1", "KL2"):
             return Defect("BadRule", f"{rule} is not available under IEL-")
-        if riel_flat(s):
+        if liel_axiom(s) is not None:
             return Defect("ProvisoViolation", f"{rule} fired on {sequent_text(s)}")
         return None
 
@@ -75,10 +77,11 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
         s, rule = node.sequent, node.rule
         got = tuple(c.sequent for c in node.children)
         if rule in ("Glue", "eGlue"):
-            if (rule == "Glue") == s.e_flag or any(
-                    next(rule_instances(r, s, logic), None) is not None for r in INVERTIBLE):
-                return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}")
             expected = glue_premises(s, logic)
+            # With no premises, s may be expanded by an invertible rule instead.
+            if (rule == "Glue") == s.e_flag or not expected and any(
+                    inst.rule in INVERTIBLE for inst in expansion(s, logic)):
+                return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}")
             if not expected:
                 return Defect("EmptyGlue", sequent_text(s))
             if Counter(got) != Counter(expected):

@@ -5,9 +5,11 @@ in canonical order, the compartment and connective of its principal
 formulas and how it instantiates bottom-up on one of them.  Every
 refutational rule is one premise of a validity rule, and REFUTATIONS names
 it.  The calculus for IEL- is the same rule set minus the left K rule on
-plain sequents.  A sequent is flat when it is no axiom and no rule has a
-principal in it, so the flat tests (liel_flat, liel_active, riel_axiom)
-read the table too.  Proofs and refutations share one tree type, one
+plain sequents.  One pass over a sequent (principals) finds the principals
+of every rule that fires on it, through a map from compartment and
+connective to rule derived from the table; rule_instances, the flat tests
+(liel_flat, riel_axiom) and expansion, the instances the search decides a
+sequent by, all read it.  Proofs and refutations share one tree type, one
 checker skeleton (rule validity is the calculus's own; the depth bound and
 the subformula property are common) and one JSON codec.
 """
@@ -97,10 +99,6 @@ def derivation_depth(t: Derivation) -> int:
 _Build = Callable[[Sequent, Formula], tuple[Sequent, ...]]
 
 
-def _principals(part: frozenset[Formula], cls: type) -> list[Formula]:
-    return sorted_formulas(f for f in part if isinstance(f, cls))
-
-
 def _and_l(s: Sequent, f: And) -> tuple[Sequent, ...]:
     return (Sequent(s.theta, (s.gamma - {f}) | {f.left, f.right}, s.delta, s.e_flag),)
 
@@ -172,20 +170,13 @@ RULE_TABLE: dict[str, tuple[str, type, _Build]] = {
 RULES = tuple(RULE_TABLE)
 
 
-def _fires_on(rule: str, e_flag: bool, logic: Logic) -> bool:
-    """Rules named with an e fire on E-sequents only, the others on plain
-    sequents only; the left K rule on plain sequents exists only under IEL."""
-    return rule.startswith("e") == e_flag and (rule != "KL" or logic is Logic.IEL)
-
-
-# (E-flag, logic) -> the connectives that make a formula of the second and
-# of the third compartment a principal.  The flat test reads them on every
-# search step, so they are derived from RULE_TABLE once, here.
-_CONNECTIVES = {
-    (e_flag, logic): tuple(
-        tuple(dict.fromkeys(cls for rule, (where, cls, _) in RULE_TABLE.items()
-                            if where == part and _fires_on(rule, e_flag, logic)))
-        for part in ("gamma", "delta"))
+# (E-flag, logic) -> (compartment, connective) -> the one rule that fires on
+# such a principal, derived from RULE_TABLE once, here.  Rules named with an
+# e fire on E-sequents only, the others on plain sequents only; the left K
+# rule on plain sequents exists only under IEL.
+_DISPATCH = {
+    (e_flag, logic): {(where, cls): rule for rule, (where, cls, _) in RULE_TABLE.items()
+                      if rule.startswith("e") == e_flag and (rule != "KL" or logic is Logic.IEL)}
     for e_flag in (False, True) for logic in Logic
 }
 
@@ -193,6 +184,10 @@ _CONNECTIVES = {
 # ones first.  Glue and eGlue fire only where none of them has an instance.
 INVERTIBLE = ("AndL", "OrR", "eAndL", "eOrR", "eKL", "eKR",
               "OrL", "AndR", "eOrL", "eAndR")
+
+# Where no invertible rule has an instance, the search tries every instance
+# of these; one Glue or eGlue node refutes all their rightmost premises.
+NONINVERTIBLE = ("ImpR", "KR", "eImpR", "ImpL", "eImpL")
 
 AXIOMS = ("Irr", "Id", "eIrr", "eId")
 
@@ -214,20 +209,50 @@ REFUTATIONS = {
 }
 
 
+def principals(s: Sequent, logic: Logic) -> dict[str, list[Formula]]:
+    """Rule -> its principals in s, in the order of their rendered texts, for
+    every rule that has one: one pass over the second and third
+    compartments, then a sort of each rule's principals."""
+    dispatch = _DISPATCH[s.e_flag, logic]
+    found: dict[str, list[Formula]] = {}
+    for part, fs in (("gamma", s.gamma), ("delta", s.delta)):
+        for f in fs:
+            rule = dispatch.get((part, type(f)))
+            if rule is not None:
+                found.setdefault(rule, []).append(f)
+    for fs in found.values():
+        fs.sort(key=render)
+    return found
+
+
+def _instance(s: Sequent, rule: str, f: Formula) -> Instantiation:
+    premises = RULE_TABLE[rule][2](s, f)
+    # Termination and the depth bound rest on this; raised rather than
+    # asserted so that it also holds under -O.
+    if not all(p.size < s.size for p in premises):
+        raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
+    return Instantiation(rule, premises)
+
+
 def rule_instances(rule: str, s: Sequent, logic: Logic) -> Iterator[Instantiation]:
     """The instantiations of one validity rule on s, lazily, in canonical
     order; a rule that does not fire on s, or an unknown name, has none."""
-    entry = RULE_TABLE.get(rule)
-    if entry is None or not _fires_on(rule, s.e_flag, logic):
-        return
-    part, cls, build = entry
-    for f in _principals(getattr(s, part), cls):
-        premises = build(s, f)
-        # Termination and the depth bound rest on this; raised rather than
-        # asserted so that it also holds under -O.
-        if not all(p.size < s.size for p in premises):
-            raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
-        yield Instantiation(rule, premises)
+    return (_instance(s, rule, f) for f in principals(s, logic).get(rule, ()))
+
+
+def expansion(s: Sequent, logic: Logic) -> tuple[Instantiation, ...]:
+    """The instances the search decides s by: the first instance of the
+    first invertible rule that has one; else every instance of the
+    non-invertible rules; else the first instance of KL.  Empty exactly
+    when no rule has an instance."""
+    found = principals(s, logic)
+    for rule in INVERTIBLE:
+        if rule in found:
+            return (_instance(s, rule, found[rule][0]),)
+    insts = tuple(_instance(s, rule, f) for rule in NONINVERTIBLE for f in found.get(rule, ()))
+    if insts or "KL" not in found:
+        return insts
+    return (_instance(s, "KL", found["KL"][0]),)
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +262,7 @@ def rule_instances(rule: str, s: Sequent, logic: Logic) -> Iterator[Instantiatio
 def liel_flat(s: Sequent, logic: Logic) -> bool:
     """No rule of the validity calculus applies and s is not an axiom: no
     formula of s is a principal of a rule that fires on it."""
-    left, right = _CONNECTIVES[s.e_flag, logic]
-    return (liel_axiom(s) is None
-            and not any(isinstance(f, left) for f in s.gamma)
-            and not any(isinstance(f, right) for f in s.delta))
-
-
-def liel_active(s: Sequent, logic: Logic) -> bool:
-    """Some rule of the validity calculus applies: s is neither an axiom
-    nor flat."""
-    return liel_axiom(s) is None and not liel_flat(s, logic)
+    return liel_axiom(s) is None and not principals(s, logic)
 
 
 def riel_axiom(s: Sequent, logic: Logic) -> Optional[str]:
@@ -354,7 +370,7 @@ def check_proof(t: Derivation, logic: Logic) -> list[Defect]:
     property relative to the root sequent (falsum always allowed)."""
 
     def cannot_fire(node: Derivation) -> Optional[Defect]:
-        if liel_active(node.sequent, logic):
+        if liel_axiom(node.sequent) is None and principals(node.sequent, logic):
             return None
         return Defect("RuleOnTerminal", f"{node.rule} on terminal {sequent_text(node.sequent)}")
 

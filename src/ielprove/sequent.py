@@ -4,9 +4,10 @@ A sequent <Theta ; Gamma => Delta> has three finite formula sets and an
 E-flag; E-sequents additionally commit their satisfying world to E-reach
 itself.  Terminal sequents split into axioms and flat sequents, with the
 axiom/flat roles swapped between the validity calculus and the refutational
-calculus.  The axioms of the validity calculus are tested here; a flat
-sequent is one that no rule applies to, so the flat tests live with the
-rule table (rules.liel_flat, rules.riel_axiom).
+calculus.  The axioms of the validity calculus are tested here (liel_axiom),
+and they are the sequents no refutational rule applies to.  A flat sequent
+of the validity calculus is one that no rule applies to, so its tests live
+with the rule table (rules.liel_flat, rules.riel_axiom).
 """
 
 from __future__ import annotations
@@ -77,13 +78,6 @@ def liel_axiom(s: Sequent) -> Optional[str]:
     if s.gamma & s.delta:
         return "eId" if s.e_flag else "Id"
     return None
-
-
-def riel_flat(s: Sequent) -> bool:
-    """No refutational rule applies: s is an axiom of the validity calculus
-    (falsum on the left, or the second and third compartments share a
-    formula)."""
-    return liel_axiom(s) is not None
 
 
 # ---------------------------------------------------------------------------

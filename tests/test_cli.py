@@ -93,9 +93,13 @@ class TestProve:
         assert "worlds" not in out
 
     def test_model_flag(self, capsys):
-        code, out, _ = run(capsys, "prove", "--model", "K a -> a")
+        # The model is decide's to print; prove has no --model.
+        code, out, _ = run(capsys, "decide", "K a -> a")
         assert code == 1
         assert "worlds" in out
+        code, out, err = _main_captured(["prove", "--model", "K a -> a"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --model" in err
 
 
 class TestRefute:
@@ -193,6 +197,19 @@ class TestCheckCommands:
             for fmt in ("text", "dot"):
                 code, out, err = run(capsys, "check-model", "--format", fmt, str(path))
                 assert code == 2 and out == "" and err.startswith("error: schema error")
+
+    def test_check_model_rejects_bad_names_and_world_keys(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        base = {"worlds": [1], "root": 1, "leq": [[1, 1]], "e": [[1, 1]]}
+        injected = 'a"]; x [label="pwn'
+        for val in ({"1": [injected]}, {"1": ["false"]}, {" 1": ["a"]}, {"1_0": ["a"]},
+                    {"01": ["a"]}):
+            path.write_text(json.dumps(dict(base, val=val)))
+            for fmt in ("text", "dot"):
+                code, out, err = run(capsys, "check-model", "--format", fmt, str(path))
+                assert code == 2 and out == "" and err.startswith("error: schema error")
+        path.write_text(json.dumps(dict(base, val={"1": ["a"]})))
+        assert run(capsys, "check-model", "--format", "dot", str(path))[0] == 0
 
     def test_check_model(self, capsys, tmp_path):
         obj = self._decide_json(capsys, "K a -> a")
@@ -389,7 +406,7 @@ class TestExitCodeContract:
         assert run(capsys, command, "a -> a", "--file", str(path)) == (
             2, "", "error: give a formula or --file, not both\n")
 
-    @pytest.mark.parametrize("command", ["check-proof", "check-refutation", "crosscheck"])
+    @pytest.mark.parametrize("command", ["check-proof", "check-refutation", "crosscheck", "prove"])
     def test_dot_only_where_a_model_is_drawn(self, capsys, tmp_path, command):
         # Real certificates: before dot was refused, these printed "ok".
         _, proof, _ = run(capsys, "decide", "--format", "json", "a -> K a")
@@ -398,10 +415,14 @@ class TestExitCodeContract:
                         "check-refutation": json.loads(refuted)["refutation"]}
         path = tmp_path / "certificate.json"
         path.write_text(json.dumps(certificates.get(command)))
-        target = "K a -> a" if command == "crosscheck" else str(path)
-        code, out, err = _main_captured([command, "--format", "dot", target])
-        assert code == 2 and out == ""
-        assert "invalid choice: 'dot'" in err
+        if command in ("crosscheck", "prove"):
+            targets = ["K a -> a", "a -> a"]  # invalid and valid
+        else:
+            targets = [str(path)]
+        for target in targets:
+            code, out, err = _main_captured([command, "--format", "dot", target])
+            assert code == 2 and out == ""
+            assert "invalid choice: 'dot'" in err
 
     def test_over_deep_formula_is_one_documented_line(self, capsys):
         # The proof search recurses.

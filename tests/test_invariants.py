@@ -1,7 +1,8 @@
 """The invariants the search and its memo table lean on: stored formula hashes,
 stored sequent sizes, the premise-shrink check in rule_instances, the model
-depth carried next to each refutation, and a rule instance on every sequent
-that is neither an axiom nor flat."""
+depth carried next to each refutation, a rule instance on every sequent
+that is neither an axiom nor flat, and the one principal pass (principals,
+expansion) against per-rule references."""
 
 import gc
 import subprocess
@@ -9,16 +10,25 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import formulas
-from ielprove import prover, rules
+from ielprove import rules
 from ielprove.formula import And, Bottom, Imp, K, Or, Var, parse, render, subformulas
 from ielprove.kripke import depth
 from ielprove.oracle import random_formulas
 from ielprove.prover import _search, decide, outcome_defect, piel
 from ielprove.refuter import refutation_model
-from ielprove.rules import INVERTIBLE, RULES, liel_active, liel_flat, rule_instances
+from ielprove.rules import (
+    INVERTIBLE,
+    NONINVERTIBLE,
+    RULE_TABLE,
+    RULES,
+    expansion,
+    liel_flat,
+    principals,
+    rule_instances,
+)
 from ielprove.sequent import Logic, Sequent, liel_axiom, sequent
 
 
@@ -52,7 +62,7 @@ class TestSequentSize:
 
     @given(sequents, st.sampled_from(list(Logic)))
     def test_premise_sizes_are_the_connective_sum(self, s, logic):
-        if not liel_active(s, logic):
+        if liel_axiom(s) is not None or liel_flat(s, logic):
             return
         for inst in (i for rule in RULES for i in rule_instances(rule, s, logic)):
             for p in inst.premises:
@@ -65,6 +75,22 @@ class TestSequentSize:
         assert "size" not in repr(s)
 
 
+def _fires(rule: str, s: Sequent, logic: Logic) -> bool:
+    return rule.startswith("e") == s.e_flag and (rule != "KL" or logic is Logic.IEL)
+
+
+def _reference_expansion(s: Sequent, logic: Logic) -> list:
+    """The search's rule order probed rule by rule: the first instance of
+    the first invertible rule that has one, else every non-invertible
+    instance, else the first instance of KL."""
+    for rule in INVERTIBLE:
+        inst = next(rule_instances(rule, s, logic), None)
+        if inst is not None:
+            return [inst]
+    insts = [inst for rule in NONINVERTIBLE for inst in rule_instances(rule, s, logic)]
+    return insts or list(rule_instances("KL", s, logic))[:1]
+
+
 class TestFlatMeansNoRule:
     @given(sequents)
     def test_flat_exactly_when_no_axiom_and_no_instance(self, s):
@@ -73,10 +99,30 @@ class TestFlatMeansNoRule:
                               for rule in RULES)
             assert liel_flat(s, logic) == (liel_axiom(s) is None and no_instance)
 
+    @given(sequents)
+    def test_principals_are_the_per_rule_filter(self, s):
+        for logic in Logic:
+            reference = {}
+            for rule, (part, cls, _) in RULE_TABLE.items():
+                fs = sorted((f for f in getattr(s, part) if isinstance(f, cls)), key=render)
+                if fs and _fires(rule, s, logic):
+                    reference[rule] = fs
+            assert principals(s, logic) == reference
+
+    @given(sequents)
+    @example(sequent([], [K(Var("a")), K(Var("b"))], [Var("c")]))  # two KL principals
+    def test_expansion_is_the_three_tier_probe(self, s):
+        for logic in Logic:
+            insts = expansion(s, logic)
+            assert list(insts) == _reference_expansion(s, logic)
+            # Empty exactly when no rule has an instance.
+            assert (not insts) == all(next(rule_instances(rule, s, logic), None) is None
+                                      for rule in RULES)
+
     def test_the_search_tries_every_rule(self):
-        # With the property above, a sequent the search expands has an
+        # With the properties above, a sequent the search expands has an
         # instance of some rule it tries.
-        assert set(RULES) == set(INVERTIBLE) | set(prover._NONINVERTIBLE) | {"KL"}
+        assert set(RULES) == set(INVERTIBLE) | set(NONINVERTIBLE) | {"KL"}
 
 
 class TestFormulaHash:

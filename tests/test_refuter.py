@@ -17,7 +17,7 @@ from ielprove.refuter import (
     refutation_to_json,
 )
 from ielprove.rules import Defect
-from ielprove.sequent import Logic, Sequent, riel_flat, sequent, sequent_text
+from ielprove.sequent import Logic, Sequent, liel_axiom, sequent, sequent_text
 
 a, b = Var("a"), Var("b")
 
@@ -158,7 +158,7 @@ class TestGlueSideCondition:
         verdicts = set()
         for _ in range(3000):
             s = random_sequent(rng)
-            if riel_flat(s):
+            if liel_axiom(s) is not None:
                 continue
             rule = "eGlue" if s.e_flag else "Glue"
             rejected = (self._first_defect(rule, s, logic)

@@ -11,13 +11,13 @@ from ielprove.rules import (
     axiom_leaf,
     RULES,
     check_proof,
-    liel_active,
+    liel_flat,
     proof_from_json,
     proof_to_json,
     rule_instances,
     rule_node,
 )
-from ielprove.sequent import Logic, sequent
+from ielprove.sequent import Logic, liel_axiom, sequent
 
 a, b = Var("a"), Var("b")
 
@@ -67,7 +67,7 @@ class TestInstantiations:
         for _ in range(300):
             s = random_sequent(rng)
             for logic in Logic:
-                if liel_active(s, logic):
+                if liel_axiom(s) is None and not liel_flat(s, logic):
                     for inst in instantiations(s, logic):
                         for p in inst.premises:
                             assert p.size < s.size
@@ -77,7 +77,7 @@ class TestInstantiations:
         for _ in range(400):
             s = random_sequent(rng)
             for logic in Logic:
-                if liel_active(s, logic):
+                if liel_axiom(s) is None and not liel_flat(s, logic):
                     assert instantiations(s, logic)
 
     def test_rule_correctness_on_small_models(self):
@@ -88,7 +88,7 @@ class TestInstantiations:
         checked = 0
         while checked < 60:
             s = random_sequent(rng, max_connectives=3)
-            if not liel_active(s, Logic.IEL):
+            if liel_axiom(s) is not None or liel_flat(s, Logic.IEL):
                 continue
             witnesses = [(m, w) for m in pool for w in m.worlds if satisfies(m, w, s)]
             if not witnesses:

@@ -4,11 +4,10 @@ import pytest
 
 from conftest import random_sequent
 from ielprove.formula import BOT, K, Var, parse
-from ielprove.rules import liel_active, liel_flat, riel_axiom
+from ielprove.rules import liel_flat, riel_axiom
 from ielprove.sequent import (
     Logic,
     liel_axiom,
-    riel_flat,
     sequent,
     sequent_from_json,
     sequent_text,
@@ -74,17 +73,19 @@ class TestRielAxiom:
 
 class TestClassify:
     def test_bottom_left_is_riel_flat(self):
+        # No refutational rule applies to an axiom of the validity calculus.
         s = sequent([], [BOT], [])
-        assert riel_flat(s)
+        assert liel_axiom(s) is not None
         assert riel_axiom(s, Logic.IEL) is None
 
     def test_k_right_is_liel_active(self):
-        assert liel_active(sequent([], [a], [K(b)]), Logic.IEL)
+        s = sequent([], [a], [K(b)])
+        assert liel_axiom(s) is None and not liel_flat(s, Logic.IEL)
 
     def test_contradictory_k_pair_is_riel_active(self):
         s = sequent([], [K(b), parse("K ~b")], [])
         assert riel_axiom(s, Logic.IEL) is None
-        assert not riel_flat(s)
+        assert liel_axiom(s) is None
 
     def test_axiom_and_flat_disjoint(self):
         rng = random.Random(42)
@@ -92,9 +93,7 @@ class TestClassify:
             s = random_sequent(rng)
             for logic in Logic:
                 assert not (liel_axiom(s) is not None and liel_flat(s, logic))
-                assert liel_active(s, logic) == (
-                    liel_axiom(s) is None and not liel_flat(s, logic))
-                assert not (riel_axiom(s, logic) is not None and riel_flat(s))
+                assert not (riel_axiom(s, logic) is not None and liel_axiom(s) is not None)
 
 
 class TestForms:
