@@ -16,7 +16,6 @@ from typing import Optional
 
 from .formula import Formula, FormulaSyntaxError, parse, render
 from .kripke import check_frame, depth, model_from_json, model_text, model_to_dot, model_to_json
-from .oracle import brute_force_invalid, oracle_report_to_json, random_formulas
 from .prover import Countermodel, Outcome, Proof, decide, outcome_defect, prove_or_refute_formula
 from .refuter import (
     check_refutation,
@@ -158,6 +157,7 @@ def _crosscheck_report(f: Formula, logic: Logic, bound: int) -> dict:
     certificate, when the prover claims validity but the oracle holds a
     countermodel, or when the oracle found a strictly shallower
     countermodel than the prover's."""
+    from .oracle import brute_force_invalid, oracle_report_to_json  # crosscheck alone needs it
     outcome = decide(f, logic)
     problems = []
     defect = outcome_defect(f, outcome, logic)
@@ -194,6 +194,7 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
     elif args.formula is not None or args.file is not None:
         raise CliError("give a formula, --file or --random, not more than one")
     else:
+        from .oracle import random_formulas
         formulas = random_formulas(args.random, seed=args.seed or 0)
     reports = []
     for f in formulas:

@@ -8,11 +8,13 @@ constructor: ``~A`` is parsed and printed as sugar for ``A -> false``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 
 _NAME_RE = re.compile(r"(?!false\Z)[a-z][a-zA-Z0-9_]*\Z")  # `false` is falsum
+
+
+_set = object.__setattr__  # how formulas and sequents set their fields when built
 
 
 class Formula:
@@ -22,6 +24,7 @@ class Formula:
     when it is built, from the values its children already hold: none of
     them recurses, and nothing is cached outside the node.  Two formulas are
     equal when their texts are, so comparing them does not recurse either.
+    Its fields (name, body, or left and right) are its vars(); none can be set.
     """
 
     __slots__ = ("_hash", "_size", "_text", "_level", "_subs")
@@ -32,57 +35,59 @@ class Formula:
             return NotImplemented
         return self is other or self._text == other._text
 
-    def __post_init__(self) -> None:
-        fields = tuple(vars(self).values())
-        children = [v for v in fields if isinstance(v, Formula)]
-        object.__setattr__(self, "_hash", hash((type(self).__name__, *fields)))
-        object.__setattr__(self, "_size",
-                           sum(c._size for c in children) + (1 if children else 0))
+    def _build(self, **fields: object) -> None:
+        """Every subclass's __init__ ends here, with its fields in order."""
+        vars(self).update(fields)
+        children = [v for v in fields.values() if isinstance(v, Formula)]
+        _set(self, "_hash", hash((type(self).__name__, *fields.values())))
+        _set(self, "_size", sum(c._size for c in children) + (1 if children else 0))
         text, level = _rend(self)
-        object.__setattr__(self, "_text", text)
-        object.__setattr__(self, "_level", level)
-        object.__setattr__(self, "_subs", None)
+        _set(self, "_text", text)
+        _set(self, "_level", level)
+        _set(self, "_subs", None)
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
-@dataclass(frozen=True, eq=False)  # keeps Formula's __eq__ and __hash__
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 class Var(Formula):
-    name: str
-
-    def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
-            raise ValueError(f"bad variable name: {self.name!r}")
-        super().__post_init__()
+    def __init__(self, name: str) -> None:
+        if not _NAME_RE.match(name):
+            raise ValueError(f"bad variable name: {name!r}")
+        self._build(name=name)
 
 
-@dataclass(frozen=True, eq=False)
 class Bottom(Formula):
-    pass
+    def __init__(self) -> None:
+        self._build()
 
 
-@dataclass(frozen=True, eq=False)
 class And(Formula):
-    left: Formula
-    right: Formula
+    def __init__(self, left: Formula, right: Formula) -> None:
+        self._build(left=left, right=right)
 
 
-@dataclass(frozen=True, eq=False)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    def __init__(self, left: Formula, right: Formula) -> None:
+        self._build(left=left, right=right)
 
 
-@dataclass(frozen=True, eq=False)
 class Imp(Formula):
-    left: Formula
-    right: Formula
+    def __init__(self, left: Formula, right: Formula) -> None:
+        self._build(left=left, right=right)
 
 
-@dataclass(frozen=True, eq=False)
 class K(Formula):
-    body: Formula
+    def __init__(self, body: Formula) -> None:
+        self._build(body=body)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +109,7 @@ def subformulas(f: Formula) -> frozenset[Formula]:
             if g not in seen:
                 seen.add(g)
                 stack.extend(v for v in vars(g).values() if isinstance(v, Formula))
-        object.__setattr__(f, "_subs", frozenset(seen))
+        _set(f, "_subs", frozenset(seen))
     return f._subs
 
 

@@ -10,8 +10,7 @@ rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .formula import And, Bottom, Formula, Imp, K, Or, Var, connective_count, subformulas
 from .sequent import Logic, Sequent
@@ -20,8 +19,7 @@ from .sequent import Logic, Sequent
 Pair = tuple[int, int]
 
 
-@dataclass
-class KripkeModel:
+class KripkeModel(NamedTuple):
     worlds: frozenset[int]
     root: int
     leq: frozenset[Pair]
@@ -29,8 +27,7 @@ class KripkeModel:
     valuation: dict[int, frozenset[str]]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # NotPoset | NotRooted | NotPersistent | Im1 | Im2 | Im3
     witness: tuple[int, ...]
 

@@ -14,7 +14,6 @@ the crosscheck command.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -24,8 +23,7 @@ from .kripke import KripkeModel, check_frame, depth, model_to_json
 from .sequent import Logic
 
 
-@dataclass
-class OracleReport:
+class OracleReport(NamedTuple):
     formula: Formula
     logic: Logic
     bound_worlds: int

@@ -13,8 +13,7 @@ is the one test that an outcome certifies its verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .formula import Formula
 from .kripke import KripkeModel, check_frame, satisfies
@@ -32,13 +31,11 @@ from .rules import (
 from .sequent import Logic, Sequent, liel_axiom
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(NamedTuple):
     tree: Derivation
 
 
-@dataclass
-class Countermodel:
+class Countermodel(NamedTuple):
     model: KripkeModel
 
 

@@ -26,7 +26,9 @@ from .rules import (
     derivation_from_json,
     derivation_json,
     derivation_to_json,
+    expand,
     expansion,
+    instances,
     riel_axiom,
     rule_instances,
 )
@@ -63,7 +65,7 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
     global proviso, exact (and nonempty) Glue premise families, satisfiable
     leaves, the depth bound and the subformula property."""
 
-    def cannot_fire(node: Refutation) -> Optional[Defect]:
+    def cannot_fire(node: Refutation, found: dict) -> Optional[Defect]:
         s, rule = node.sequent, node.rule
         if rule not in RIEL_RULES:
             return Defect("BadRule", repr(rule))
@@ -73,14 +75,15 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
             return Defect("ProvisoViolation", f"{rule} fired on {sequent_text(s)}")
         return None
 
-    def bad_premises(node: Refutation) -> Optional[Defect]:
+    def bad_premises(node: Refutation, found: dict) -> Optional[Defect]:
         s, rule = node.sequent, node.rule
         got = tuple(c.sequent for c in node.children)
         if rule in ("Glue", "eGlue"):
-            expected = glue_premises(s, logic)
+            insts = expand(s, found)
+            expected = [inst.premises[-1] for inst in insts if inst.rule in NONINVERTIBLE]
             # With no premises, s may be expanded by an invertible rule instead.
             if (rule == "Glue") == s.e_flag or not expected and any(
-                    inst.rule in INVERTIBLE for inst in expansion(s, logic)):
+                    inst.rule in INVERTIBLE for inst in insts):
                 return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}")
             if not expected:
                 return Defect("EmptyGlue", sequent_text(s))
@@ -92,11 +95,11 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
             return Defect("ProvisoViolation",
                           f"KL2 needs an atomic third compartment: {sequent_text(s)}")
         premise_of, i = _PREMISE_OF[rule]
-        if any((inst.premises[i],) == got for inst in rule_instances(premise_of, s, logic)):
+        if any((inst.premises[i],) == got for inst in instances(premise_of, s, found)):
             return None
         return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}")
 
-    return check_derivation(t, lambda s, name: riel_axiom(s, logic) == name,
+    return check_derivation(t, logic, lambda s, name: riel_axiom(s, logic) == name,
                             cannot_fire, bad_premises)
 
 

@@ -17,8 +17,7 @@ the subformula property are common) and one JSON codec.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .formula import (
     BOT,
@@ -42,14 +41,12 @@ from .sequent import (
 )
 
 
-@dataclass(frozen=True)
-class Instantiation:
+class Instantiation(NamedTuple):
     rule: str
     premises: tuple[Sequent, ...]
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """A proof or a refutation: leaves carry an axiom name, inner nodes a
     rule name of the calculus at hand.
 
@@ -237,7 +234,12 @@ def _instance(s: Sequent, rule: str, f: Formula) -> Instantiation:
 def rule_instances(rule: str, s: Sequent, logic: Logic) -> Iterator[Instantiation]:
     """The instantiations of one validity rule on s, lazily, in canonical
     order; a rule that does not fire on s, or an unknown name, has none."""
-    return (_instance(s, rule, f) for f in principals(s, logic).get(rule, ()))
+    return instances(rule, s, principals(s, logic))
+
+
+def instances(rule: str, s: Sequent, found: dict[str, list[Formula]]) -> Iterator[Instantiation]:
+    """rule_instances(rule, s, logic), given found = principals(s, logic)."""
+    return (_instance(s, rule, f) for f in found.get(rule, ()))
 
 
 def expansion(s: Sequent, logic: Logic) -> tuple[Instantiation, ...]:
@@ -245,7 +247,11 @@ def expansion(s: Sequent, logic: Logic) -> tuple[Instantiation, ...]:
     first invertible rule that has one; else every instance of the
     non-invertible rules; else the first instance of KL.  Empty exactly
     when no rule has an instance."""
-    found = principals(s, logic)
+    return expand(s, principals(s, logic))
+
+
+def expand(s: Sequent, found: dict[str, list[Formula]]) -> tuple[Instantiation, ...]:
+    """expansion(s, logic), given found = principals(s, logic)."""
     for rule in INVERTIBLE:
         if rule in found:
             return (_instance(s, rule, found[rule][0]),)
@@ -280,8 +286,7 @@ def riel_axiom(s: Sequent, logic: Logic) -> Optional[str]:
 # Checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Defect:
+class Defect(NamedTuple):
     kind: str
     message: str
 
@@ -289,16 +294,17 @@ class Defect:
         return f"{self.kind}: {self.message}"
 
 
-def check_derivation(t: Derivation,
+def check_derivation(t: Derivation, logic: Logic,
                      axiom_fits: Callable[[Sequent, str], bool],
-                     cannot_fire: Callable[[Derivation], Optional[Defect]],
-                     bad_premises: Callable[[Derivation], Optional[Defect]]) -> list[Defect]:
+                     cannot_fire: Callable[[Derivation, dict], Optional[Defect]],
+                     bad_premises: Callable[[Derivation, dict], Optional[Defect]]) -> list[Defect]:
     """The checks both calculi share: the subformula property relative to
     the root sequent (falsum always allowed), fitting axiom leaves, no node
     with both a rule and an axiom, and depth bounded by the connective count
     of the root.  At each rule node, cannot_fire reports a rule that cannot
     fire on the node's sequent at all (its subtree is then not visited), and
-    bad_premises reports children that are not the rule's premises."""
+    bad_premises reports children that are not the rule's premises; both are
+    handed the sequent's principals(s, logic), found once per node."""
     defects: list[Defect] = []
     root = t.sequent
     allowed: frozenset[Formula] = frozenset({BOT})
@@ -322,11 +328,12 @@ def check_derivation(t: Derivation,
         if node.axiom is not None:
             defects.append(Defect("MalformedNode", sequent_text(s)))
             return False
-        stop = cannot_fire(node)
+        found = principals(s, logic)
+        stop = cannot_fire(node, found)
         if stop is not None:
             defects.append(stop)
             return False
-        bad = bad_premises(node)
+        bad = bad_premises(node, found)
         if bad is not None:
             defects.append(bad)
         return True
@@ -369,18 +376,18 @@ def check_proof(t: Derivation, logic: Logic) -> list[Defect]:
     bounded by the connective count of the root, and the subformula
     property relative to the root sequent (falsum always allowed)."""
 
-    def cannot_fire(node: Derivation) -> Optional[Defect]:
-        if liel_axiom(node.sequent) is None and principals(node.sequent, logic):
+    def cannot_fire(node: Derivation, found: dict) -> Optional[Defect]:
+        if liel_axiom(node.sequent) is None and found:
             return None
         return Defect("RuleOnTerminal", f"{node.rule} on terminal {sequent_text(node.sequent)}")
 
-    def bad_premises(node: Derivation) -> Optional[Defect]:
+    def bad_premises(node: Derivation, found: dict) -> Optional[Defect]:
         got = tuple(c.sequent for c in node.children)
-        if any(inst.premises == got for inst in rule_instances(node.rule, node.sequent, logic)):
+        if any(inst.premises == got for inst in instances(node.rule, node.sequent, found)):
             return None
         return Defect("BadInstantiation", f"{node.rule} on {sequent_text(node.sequent)}")
 
-    return check_derivation(t, _axiom_fits, cannot_fire, bad_premises)
+    return check_derivation(t, logic, _axiom_fits, cannot_fire, bad_premises)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ with the rule table (rules.liel_flat, rules.riel_axiom).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -21,6 +20,7 @@ from .formula import (
     Bottom,
     Formula,
     Var,
+    _set,
     connective_count,
     formula_from_json,
     formula_to_json,
@@ -34,19 +34,36 @@ class Logic(Enum):
     IEL_MINUS = "iel-"
 
 
-@dataclass(frozen=True)
 class Sequent:
-    theta: frozenset[Formula] = frozenset()
-    gamma: frozenset[Formula] = frozenset()
-    delta: frozenset[Formula] = frozenset()
-    e_flag: bool = False
-    # Connective count over all three compartments, computed once.
-    size: int = field(default=0, init=False, compare=False, repr=False)
+    """An immutable sequent; equality and hashing read the compartments and
+    the E-flag, not size, the connective count of all three, computed once."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "size", sum(
-            connective_count(f) for part in (self.theta, self.gamma, self.delta)
-            for f in part))
+    __slots__ = ("theta", "gamma", "delta", "e_flag", "size")
+
+    def __init__(self, theta: frozenset[Formula] = frozenset(),
+                 gamma: frozenset[Formula] = frozenset(),
+                 delta: frozenset[Formula] = frozenset(), e_flag: bool = False) -> None:
+        _set(self, "theta", theta)
+        _set(self, "gamma", gamma)
+        _set(self, "delta", delta)
+        _set(self, "e_flag", e_flag)
+        _set(self, "size", sum(map(connective_count, theta))
+             + sum(map(connective_count, gamma)) + sum(map(connective_count, delta)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Sequent:
+            return NotImplemented
+        return ((self.theta, self.gamma, self.delta, self.e_flag)
+                == (other.theta, other.gamma, other.delta, other.e_flag))
+
+    def __hash__(self) -> int:
+        return hash((self.theta, self.gamma, self.delta, self.e_flag))
+
+    def __repr__(self) -> str:
+        return (f"Sequent(theta={self.theta!r}, gamma={self.gamma!r}, delta={self.delta!r}, "
+                f"e_flag={self.e_flag!r})")
+
+    __setattr__ = __delattr__ = Formula.__setattr__
 
 
 def sequent(theta: Iterable[Formula] = (), gamma: Iterable[Formula] = (),

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -303,7 +302,7 @@ class TestRejectedCertificates:
             build = refuter.refutation_model
 
             def clear_e(t, logic):  # an IEL countermodel with no E-edges breaks Im3
-                return replace(build(t, logic), e_rel=frozenset())
+                return build(t, logic)._replace(e_rel=frozenset())
 
             monkeypatch.setattr(cli, "refutation_model", clear_e)
             monkeypatch.setattr(prover, "refutation_model", clear_e)
@@ -311,7 +310,7 @@ class TestRejectedCertificates:
         search = prover.prove_or_refute
 
         def wrong_rule(s, logic):  # the root claims a rule that cannot have produced it
-            return prover.Proof(replace(search(s, logic).tree, rule="OrR"))
+            return prover.Proof(search(s, logic).tree._replace(rule="OrR"))
 
         monkeypatch.setattr(prover, "prove_or_refute", wrong_rule)
         return "valid", "a -> K a"

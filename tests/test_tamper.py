@@ -12,7 +12,6 @@ its parent's sequent never shrinks, so that mutation must always be caught.
 
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from ielprove.formula import parse, render
@@ -41,12 +40,12 @@ def _next(names, name):
 
 def _local_mutants(node, rules, axioms):
     if node.rule is not None:
-        yield "rule", replace(node, rule=_next(rules, node.rule))
+        yield "rule", node._replace(rule=_next(rules, node.rule))
     if node.children:
-        child = replace(node.children[0], sequent=node.sequent)
-        yield "premise", replace(node, children=(child, *node.children[1:]))
+        child = node.children[0]._replace(sequent=node.sequent)
+        yield "premise", node._replace(children=(child, *node.children[1:]))
     if node.axiom is not None:
-        yield "axiom", replace(node, axiom=_next(axioms, node.axiom))
+        yield "axiom", node._replace(axiom=_next(axioms, node.axiom))
 
 
 def _mutants(root, rules, axioms):
@@ -62,7 +61,7 @@ def _mutants(root, rules, axioms):
         for i, child in enumerate(node.children):
             for sub_index, kind, sub in walk(child):
                 children = (*node.children[:i], sub, *node.children[i + 1:])
-                yield sub_index, kind, replace(node, children=children)
+                yield sub_index, kind, node._replace(children=children)
 
     return walk(root)
 
