@@ -57,6 +57,10 @@ class Formula:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild a formula from its fields, not slot by slot.
+        return type(self), tuple(vars(self).values())
+
 
 class Var(Formula):
     def __init__(self, name: str) -> None:

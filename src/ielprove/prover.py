@@ -6,9 +6,11 @@ with the depth of the Kripke model it maps onto.  A sequent that is no
 axiom is decided by the instances rules.expansion gives, or is flat when
 there are none.  One routine (_choose) makes the minimal-depth choice
 between the refutations of the premises and the Glue of all rightmost
-premises.  piel and decide build the countermodel once, from the
-refutation the search returns (refuter.refutation_model).  outcome_defect
-is the one test that an outcome certifies its verdict.
+premises.  It skips a premise that could only give a refutation no
+shallower than the best one already found, and every memo entry is still
+the exact result for its sequent.  piel and decide build the countermodel
+once, from the refutation the search returns (refuter.refutation_model).
+outcome_defect is the one test that an outcome certifies its verdict.
 """
 
 from __future__ import annotations
@@ -73,26 +75,38 @@ def _choose(s: Sequent, insts: tuple[Instantiation, ...], logic: Logic,
     ties to the first.  A refuted premise refutes s on its own (KL2 adds a
     world below its model), except a rightmost premise of ImpL, ImpR or KR:
     those are glued under a fresh root, and only when every instance's is
-    refuted; the Glue candidate comes last."""
-    candidates: list[tuple[Derivation, int]] = []
+    refuted; the Glue candidate comes last.
+
+    Past an instance's first refuted premise, its premises count only as
+    refutations, of depth at least 1, or 2 through KL2 or Glue.  Such a
+    premise is not searched when the best depth so far is no greater: it
+    comes later, so it loses the tie.  The result is exactly that of
+    searching every premise."""
+    best: Optional[tuple[Derivation, int]] = None
     glued: list[tuple[Derivation, int]] = []
     for inst in insts:
-        subs = [_search(p, logic, memo) for p in inst.premises]
-        if not any(d for _, d in subs):
-            return rule_node(s, inst.rule, tuple(t for t, _ in subs)), 0
-        for i, (t, d) in enumerate(subs):
-            if not d:
-                continue
+        proved: list[Derivation] = []
+        for i, p in enumerate(inst.premises):
             name = REFUTATIONS[(inst.rule, i)]
-            if name in ("Glue", "eGlue"):
+            glue, kl2 = name in ("Glue", "eGlue"), name == "KL2"
+            # Past a refuted premise, which is never a Glue one, best is set.
+            if len(proved) < i and best[1] <= 1 + (glue or kl2):
+                continue
+            t, d = _search(p, logic, memo)
+            if not d:
+                proved.append(t)
+            elif glue:
                 glued.append((t, d))
-            else:
-                candidates.append((rule_node(s, name, (t,)), d + (name == "KL2")))
+            elif best is None or d + kl2 < best[1]:
+                best = rule_node(s, name, (t,)), d + kl2
+        if len(proved) == len(inst.premises):
+            return rule_node(s, inst.rule, tuple(proved)), 0
     if len(glued) == len(insts):
-        candidates.append((rule_node(s, "eGlue" if s.e_flag else "Glue",
-                                     tuple(t for t, _ in glued)),
-                           1 + max(d for _, d in glued)))
-    return min(candidates, key=lambda r: r[1])
+        glue_d = 1 + max(d for _, d in glued)
+        if best is None or glue_d < best[1]:
+            best = (rule_node(s, "eGlue" if s.e_flag else "Glue", tuple(t for t, _ in glued)),
+                    glue_d)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,9 @@ class Sequent:
 
     __setattr__ = __delattr__ = Formula.__setattr__
 
+    def __reduce__(self) -> tuple:
+        return Sequent, (self.theta, self.gamma, self.delta, self.e_flag)
+
 
 def sequent(theta: Iterable[Formula] = (), gamma: Iterable[Formula] = (),
             delta: Iterable[Formula] = (), e: bool = False) -> Sequent:

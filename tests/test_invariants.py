@@ -169,7 +169,7 @@ class TestCarriedDepth:
     def test_memo_depths_match_the_models(self):
         deep = parse("K c | (K c -> K b | (K b -> K a | ~K a))")  # depth 4
         refuted = 0
-        for f in [deep, *random_formulas(60, seed=77)]:
+        for f in [deep, *random_formulas(80, seed=77)]:
             for logic in Logic:
                 memo = {}
                 _search(Sequent(delta=frozenset({f})), logic, memo)

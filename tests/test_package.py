@@ -1,8 +1,11 @@
 """The package surface: what a command's import loads, the lazily resolved
-public names, and records that cannot be changed once built."""
+public names, and records that cannot be changed once built but can be
+copied and pickled."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -108,3 +111,19 @@ class TestImmutableRecords:
         t, u = (prove_or_refute_formula(f, Logic.IEL) for _ in range(2))
         assert t is not u
         assert t == u and hash(t) == hash(u)
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("make", [
+        lambda: parse("a -> K b"),
+        lambda: parse("false"),
+        lambda: sequent([parse("a")], [parse("K(a | b)")], [parse("~c & a")], True),
+        lambda: prove_or_refute_formula(parse("K(a -> b) -> (K a -> K b)"), Logic.IEL).tree,
+    ], ids=["formula", "bottom", "sequent", "proof"])
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip(self, make, round_trip):
+        x = make()
+        y = round_trip(x)
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ielprove import prover
 from ielprove.formula import K, Var, parse, render
 from ielprove.kripke import check_frame, depth, model_to_json, satisfies, single_world
 from ielprove.oracle import random_formulas
@@ -18,7 +19,14 @@ from ielprove.prover import (
     prove_or_refute_formula,
 )
 from ielprove.refuter import extract_model, refutation_to_json
-from ielprove.rules import check_proof, derivation_depth, proof_to_json
+from ielprove.rules import (
+    REFUTATIONS,
+    check_proof,
+    derivation_depth,
+    derivation_json,
+    proof_to_json,
+    rule_node,
+)
 from ielprove.sequent import Logic, Sequent, sequent
 
 a = Var("a")
@@ -159,6 +167,56 @@ class TestOneModelPerRefutation:
     def test_golden_formulas(self):
         for f in random_formulas(80, seed=31337):
             self._same_model(Sequent(delta=frozenset({f})))
+
+
+def _full_choose(s: Sequent, insts: tuple, logic: Logic, memo: dict) -> tuple:
+    """prover._choose without the cut, the reference for it: every premise
+    of every instance is searched until an instance proves s, and the
+    refutation of least depth is taken over all candidates, ties to the
+    first, Glue last."""
+    candidates, glued = [], []
+    for inst in insts:
+        subs = [prover._search(p, logic, memo) for p in inst.premises]
+        if not any(d for _, d in subs):
+            return rule_node(s, inst.rule, tuple(t for t, _ in subs)), 0
+        for i, (t, d) in enumerate(subs):
+            if not d:
+                continue
+            name = REFUTATIONS[(inst.rule, i)]
+            if name in ("Glue", "eGlue"):
+                glued.append((t, d))
+            else:
+                candidates.append((rule_node(s, name, (t,)), d + (name == "KL2")))
+    if len(glued) == len(insts):
+        candidates.append((rule_node(s, "eGlue" if s.e_flag else "Glue",
+                                     tuple(t for t, _ in glued)),
+                           1 + max(d for _, d in glued)))
+    return min(candidates, key=lambda r: r[1])
+
+
+class TestSkippedPremises:
+    """The search skips premises that cannot beat the best refutation, and
+    returns exactly what searching every premise returns."""
+
+    def test_same_results_and_fewer_expansions(self, monkeypatch):
+        expanded = full_expanded = 0
+        for size in (4, 8, 12, 16, 20):
+            for f in random_formulas(50, seed=size, max_connectives=size):
+                for logic in Logic:
+                    s = Sequent(delta=frozenset({f}))
+                    memo, full_memo = {}, {}
+                    tree, d = prover._search(s, logic, memo)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(prover, "_choose", _full_choose)
+                        full_tree, full_d = prover._search(s, logic, full_memo)
+                    assert d == full_d, (render(f), logic)
+                    assert derivation_json(tree) == derivation_json(full_tree), (render(f), logic)
+                    for sub, (t, e) in memo.items():
+                        full_t, full_e = full_memo[sub]
+                        assert e == full_e and derivation_json(t) == derivation_json(full_t)
+                    expanded += len(memo)
+                    full_expanded += len(full_memo)
+        assert expanded < full_expanded
 
 
 class TestGoldenCertificates:
