@@ -8,6 +8,7 @@ constructor: ``~A`` is parsed and printed as sugar for ``A -> false``.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterable
 
 
@@ -155,9 +156,12 @@ def render(f: Formula) -> str:
     return f._text
 
 
+by_text = attrgetter("_text")  # render, as a sort key without a Python frame per formula
+
+
 def sorted_formulas(fs: Iterable[Formula]) -> list[Formula]:
     """The fixed total order used wherever a canonical choice is needed."""
-    return sorted(fs, key=render)
+    return sorted(fs, key=by_text)
 
 
 # ---------------------------------------------------------------------------

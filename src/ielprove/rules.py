@@ -20,13 +20,16 @@ import json
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .formula import (
+    _JSON_OP,
     BOT,
     And,
+    Bottom,
     Formula,
     Imp,
     K,
     Or,
-    formula_to_json,
+    Var,
+    by_text,
     render,
     sorted_formulas,
     subformulas,
@@ -167,13 +170,17 @@ RULE_TABLE: dict[str, tuple[str, type, _Build]] = {
 RULES = tuple(RULE_TABLE)
 
 
-# (E-flag, logic) -> (compartment, connective) -> the one rule that fires on
-# such a principal, derived from RULE_TABLE once, here.  Rules named with an
-# e fire on E-sequents only, the others on plain sequents only; the left K
-# rule on plain sequents exists only under IEL.
+# (E-flag, logic) -> one map per compartment (gamma, then delta) from
+# connective to the one rule that fires on such a principal, derived from
+# RULE_TABLE once, here.  Rules named with an e fire on E-sequents only, the
+# others on plain sequents only; the left K rule on plain sequents exists
+# only under IEL.
 _DISPATCH = {
-    (e_flag, logic): {(where, cls): rule for rule, (where, cls, _) in RULE_TABLE.items()
-                      if rule.startswith("e") == e_flag and (rule != "KL" or logic is Logic.IEL)}
+    (e_flag, logic): tuple(
+        {cls: rule for rule, (where, cls, _) in RULE_TABLE.items()
+         if where == part and rule.startswith("e") == e_flag
+         and (rule != "KL" or logic is Logic.IEL)}
+        for part in ("gamma", "delta"))
     for e_flag in (False, True) for logic in Logic
 }
 
@@ -210,15 +217,15 @@ def principals(s: Sequent, logic: Logic) -> dict[str, list[Formula]]:
     """Rule -> its principals in s, in the order of their rendered texts, for
     every rule that has one: one pass over the second and third
     compartments, then a sort of each rule's principals."""
-    dispatch = _DISPATCH[s.e_flag, logic]
+    gamma_rules, delta_rules = _DISPATCH[s.e_flag, logic]
     found: dict[str, list[Formula]] = {}
-    for part, fs in (("gamma", s.gamma), ("delta", s.delta)):
+    for rule_of, fs in ((gamma_rules, s.gamma), (delta_rules, s.delta)):
         for f in fs:
-            rule = dispatch.get((part, type(f)))
+            rule = rule_of.get(type(f))
             if rule is not None:
                 found.setdefault(rule, []).append(f)
     for fs in found.values():
-        fs.sort(key=render)
+        fs.sort(key=by_text)
     return found
 
 
@@ -314,10 +321,11 @@ def check_derivation(t: Derivation, logic: Logic,
     def own_defects(node: Derivation) -> bool:
         """Append the node's own defects; True if its children are checked."""
         s = node.sequent
-        for f in sorted_formulas((s.theta | s.gamma | s.delta) - allowed):
-            defects.append(Defect(
-                "Subformula",
-                f"{render(f)} is not a subformula of the root in {sequent_text(s)}"))
+        if not (s.theta <= allowed and s.gamma <= allowed and s.delta <= allowed):
+            for f in sorted_formulas((s.theta | s.gamma | s.delta) - allowed):
+                defects.append(Defect(
+                    "Subformula",
+                    f"{render(f)} is not a subformula of the root in {sequent_text(s)}"))
         if node.rule is None:
             if node.children or node.axiom is None:
                 defects.append(Defect("NonAxiomLeaf", sequent_text(s)))
@@ -431,19 +439,55 @@ def derivation_json(t: Derivation, calculus: Optional[str] = None) -> str:
     The text is kept as a list of pieces.  A distinct node's pieces are
     written once; a repeated node copies the run of pieces its first
     occurrence wrote, so a parent never copies its children's bytes and a
-    chain of n nodes costs O(n), not O(n^2).  Formulas (by formula_to_json)
-    and rule and axiom names are encoded once per call each."""
-    texts: dict[object, str] = {}
+    chain of n nodes costs O(n), not O(n^2).  Each distinct formula's text
+    is built once per call from its children's texts, children first, with
+    its own stack; each distinct compartment is sorted and joined once per
+    call, and each rule and axiom name encoded once.  Nothing recurses, so
+    formulas of any depth encode."""
+    texts: dict[Formula, str] = {}
+    parts: dict[frozenset[Formula], str] = {}
+    names: dict[Optional[str], str] = {}
 
-    def text(x: Union[Formula, str, None]) -> str:
-        out = texts.get(x)
-        if out is None:
-            out = texts[x] = json.dumps(
-                formula_to_json(x) if isinstance(x, Formula) else x, sort_keys=True)
-        return out
+    def formula_text(f: Formula) -> str:
+        """The memoized text of f, after those of its subformulas."""
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if g in texts:
+                stack.pop()
+                continue
+            cls = type(g)
+            if cls is Var:
+                texts[g] = f'{{"name": {json.dumps(g.name)}, "op": "var"}}'
+            elif cls is Bottom:
+                texts[g] = '{"op": "bot"}'
+            elif cls is K:
+                body = texts.get(g.body)
+                if body is None:
+                    stack.append(g.body)
+                    continue
+                texts[g] = f'{{"body": {body}, "op": "k"}}'
+            else:
+                left, right = texts.get(g.left), texts.get(g.right)
+                if left is None or right is None:
+                    stack.extend((g.right, g.left))
+                    continue
+                texts[g] = f'{{"left": {left}, "op": "{_JSON_OP[cls]}", "right": {right}}}'
+            stack.pop()
+        return texts[f]
 
     def part(fs: frozenset[Formula]) -> str:
-        return "[" + ", ".join(map(text, sorted_formulas(fs))) + "]"
+        out = parts.get(fs)
+        if out is None:
+            out = parts[fs] = "[" + ", ".join(
+                [texts.get(f) or formula_text(f) for f in sorted_formulas(fs)]) + "]"
+        return out
+
+    def name(x: Optional[str]) -> str:
+        out = names.get(x)
+        if out is None:
+            out = names[x] = json.dumps(x)
+        return out
 
     root_key = "" if calculus is None else f'"calculus": {json.dumps(calculus)}, '
     pieces: list[str] = []
@@ -456,7 +500,7 @@ def derivation_json(t: Derivation, calculus: Optional[str] = None) -> str:
         if isinstance(mark, int):
             s = node.sequent
             pieces.append(
-                f'], "rule": {text(node.rule)}, "sequent": {{"delta": {part(s.delta)}, '
+                f'], "rule": {name(node.rule)}, "sequent": {{"delta": {part(s.delta)}, '
                 f'"e": {"true" if s.e_flag else "false"}, "gamma": {part(s.gamma)}, '
                 f'"theta": {part(s.theta)}}}}}')
             runs[id(node)] = (mark, len(pieces))
@@ -468,7 +512,7 @@ def derivation_json(t: Derivation, calculus: Optional[str] = None) -> str:
             pieces.extend(pieces[run[0]:run[1]])
             continue
         stack.append((node, len(pieces)))
-        pieces.append(f'{{"axiom": {text(node.axiom)}, '
+        pieces.append(f'{{"axiom": {name(node.axiom)}, '
                       f'{root_key if node is t else ""}"children": [')
         kids = node.children
         stack.extend((kids[i], ", " if i else "") for i in range(len(kids) - 1, -1, -1))

@@ -13,6 +13,7 @@ with the rule table (rules.liel_flat, rules.riel_axiom).
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .formula import (
@@ -21,12 +22,14 @@ from .formula import (
     Formula,
     Var,
     _set,
-    connective_count,
     formula_from_json,
     formula_to_json,
     render,
     sorted_formulas,
 )
+
+
+_size = attrgetter("_size")  # connective_count, without a Python frame per formula
 
 
 class Logic(Enum):
@@ -47,8 +50,8 @@ class Sequent:
         _set(self, "gamma", gamma)
         _set(self, "delta", delta)
         _set(self, "e_flag", e_flag)
-        _set(self, "size", sum(map(connective_count, theta))
-             + sum(map(connective_count, gamma)) + sum(map(connective_count, delta)))
+        _set(self, "size", sum(map(_size, theta)) + sum(map(_size, gamma))
+             + sum(map(_size, delta)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Sequent:

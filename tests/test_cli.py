@@ -398,6 +398,23 @@ class TestExitCodeContract:
         path.write_text(derivation_json(t))
         assert run(capsys, "check-proof", str(path)) == self.TOO_DEEP
 
+    @pytest.mark.parametrize("command", ["decide", "refute"])
+    def test_deep_formula_certificate_prints(self, capsys, command):
+        # K nested 1,200 deep on both sides of an implication: the search
+        # and text output handle it, and the JSON encoder does not recurse,
+        # so json mode prints the proof too (ImpR over two equal Id leaves).
+        n = 1200
+        text = "K " * n + "a -> " + "K " * n + "a"
+        assert run(capsys, command, text)[0] == 0
+        chain = '{"body": ' * n + '{"name": "a", "op": "var"}' + ', "op": "k"}' * n
+        leaf = ('{"axiom": "Id", "children": [], "rule": null, "sequent": {"delta": ['
+                + chain + '], "e": false, "gamma": [' + chain + '], "theta": []}}')
+        imp = '{"left": ' + chain + ', "op": "imp", "right": ' + chain + '}'
+        root = ('{"axiom": null, "children": [' + leaf + ", " + leaf + '], "rule": "ImpR", '
+                '"sequent": {"delta": [' + imp + '], "e": false, "gamma": [], "theta": []}}')
+        assert run(capsys, command, "--format", "json", text) == (
+            0, '{"proof": ' + root + ', "status": "valid"}\n', "")
+
     @pytest.mark.parametrize("command", ["decide", "prove", "refute", "crosscheck"])
     def test_formula_and_file_together_is_an_error(self, capsys, tmp_path, command):
         path = tmp_path / "formula.txt"

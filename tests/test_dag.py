@@ -8,7 +8,7 @@ import json
 import pytest
 
 from ielprove.cli import main
-from ielprove.formula import parse, render
+from ielprove.formula import K, Formula, parse, render
 from ielprove.kripke import model_to_json
 from ielprove.oracle import random_formulas
 from ielprove.prover import Proof, decide, prove_or_refute_formula
@@ -95,6 +95,19 @@ def certs():
     return out
 
 
+def _has_twins(s) -> bool:
+    """Some two formula objects in s, subformulas included, are equal but
+    not the same object."""
+    seen = {}
+    stack = [*s.theta, *s.gamma, *s.delta]
+    while stack:
+        f = stack.pop()
+        if seen.setdefault(f, f) is not f:
+            return True
+        stack.extend(v for v in vars(f).values() if isinstance(v, Formula))
+    return False
+
+
 class TestSharedDefects:
     def _shared_proof(self):
         """Y & Y with Y = (a & a) & (a & a).  One object T proves both
@@ -160,6 +173,26 @@ class TestEncoder:
             shared += distinct(t) < occurrences(t)
         assert shared > 20
 
+    def test_bytes_equal_json_dumps_on_random_certificates(self):
+        """Seeded random formulas of up to 4-20 connectives, both logics.
+        Each leaf of a random formula is its own object, so the sample's
+        sequents hold equal formulas as distinct objects, which the
+        encoder's per-call memos must treat as one formula."""
+        kinds, twins = set(), 0
+        for n in (4, 8, 12, 16, 20):
+            for f in random_formulas(30, seed=n, max_connectives=n):
+                for logic in Logic:
+                    result = prove_or_refute_formula(f, logic)
+                    t = result.tree if isinstance(result, Proof) else result
+                    assert derivation_json(t) == json.dumps(derivation_to_json(t), sort_keys=True)
+                    if not isinstance(result, Proof):
+                        assert refutation_json(t) == json.dumps(
+                            refutation_to_json(t), sort_keys=True)
+                    kinds.add(isinstance(result, Proof))
+                    twins += any(_has_twins(node.sequent) for node in _nodes(t))
+        assert kinds == {True, False}
+        assert twins > 100
+
     def test_depth_and_checks_match_the_expansion(self, certs):
         for t, is_refutation, logic in certs:
             copy = unshared(t)
@@ -203,6 +236,18 @@ class TestDeepDerivation:
         for _ in range(n):
             t = rule_node(s, "AndL", (t,))
         return t
+
+    def test_deep_formulas_encode_without_recursion(self):
+        """An Id leaf holding a 5,000-deep K chain on both sides: each
+        formula's text is built from its children's, children first."""
+        f = a
+        for _ in range(self.N):
+            f = K(f)
+        chain = '{"body": ' * self.N + '{"name": "a", "op": "var"}' + ', "op": "k"}' * self.N
+        leaf = axiom_leaf(sequent([], [f], [f]), "Id")
+        assert derivation_json(leaf) == (
+            '{"axiom": "Id", "children": [], "rule": null, "sequent": {"delta": ['
+            + chain + '], "e": false, "gamma": [' + chain + '], "theta": []}}')
 
     def test_check_depth_and_encode_without_recursion(self):
         t = self._chain(self.N)
