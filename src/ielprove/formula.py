@@ -15,7 +15,7 @@ from typing import Iterable
 _NAME_RE = re.compile(r"(?!false\Z)[a-z][a-zA-Z0-9_]*\Z")  # `false` is falsum
 
 
-_set = object.__setattr__  # how formulas and sequents set their fields when built
+_set = object.__setattr__  # how formulas set their own fields; plain assignment raises
 
 
 class Formula:

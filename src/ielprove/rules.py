@@ -233,7 +233,8 @@ def _instance(s: Sequent, rule: str, f: Formula) -> Instantiation:
     premises = RULE_TABLE[rule][2](s, f)
     # Termination and the depth bound rest on this; raised rather than
     # asserted so that it also holds under -O.
-    if not all(p.size < s.size for p in premises):
+    size = s.size
+    if not all(p.size < size for p in premises):
         raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
     return Instantiation(rule, premises)
 
@@ -281,12 +282,13 @@ def liel_flat(s: Sequent, logic: Logic) -> bool:
 def riel_axiom(s: Sequent, logic: Logic) -> Optional[str]:
     """Axiom name for the refutational calculus, or None: its axioms are the
     flat sequents of the validity calculus.  kSat is the IEL- case that the
-    left K rule of IEL would still expand."""
+    left K rule of IEL would still expand: a flat plain sequent with a
+    K-formula in its second compartment, which under IEL is never flat."""
     if not liel_flat(s, logic):
         return None
     if s.e_flag:
         return "eSat"
-    return "Sat" if liel_flat(s, Logic.IEL) else "kSat"
+    return "kSat" if any(isinstance(f, K) for f in s.gamma) else "Sat"
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +367,9 @@ def check_derivation(t: Derivation, logic: Logic,
         if own_defects(node):
             stack.extend((c, None) for c in reversed(node.children))
 
-    depth = derivation_depth(t)
-    if depth > root.size:
-        defects.append(Defect("DepthBound", f"depth {depth} exceeds {root.size} connectives"))
+    depth, size = derivation_depth(t), root.size
+    if depth > size:
+        defects.append(Defect("DepthBound", f"depth {depth} exceeds {size} connectives"))
     return defects
 
 
@@ -522,24 +524,32 @@ def derivation_json(t: Derivation, calculus: Optional[str] = None) -> str:
 def derivation_from_json(obj: object, rules: tuple[str, ...], axioms: tuple[str, ...],
                          kind: str) -> Derivation:
     """Decode a derivation whose rule and axiom names must come from the
-    given tables; kind ("proof" or "refutation") names it in errors."""
-    if not isinstance(obj, dict) or "sequent" not in obj:
-        raise ValueError(f"not a {kind} object: {obj!r}")
-    rule = obj.get("rule")
-    axiom = obj.get("axiom")
-    if rule is not None and rule not in rules:
-        raise ValueError(f"unknown rule: {rule!r}")
-    if axiom is not None and axiom not in axioms:
-        raise ValueError(f"unknown axiom: {axiom!r}")
-    children = obj.get("children", [])
-    if not isinstance(children, list):
-        raise ValueError(f"{kind} 'children' must be a list")
-    return Derivation(
-        sequent_from_json(obj["sequent"]),
-        rule,
-        axiom,
-        tuple(derivation_from_json(c, rules, axioms, kind) for c in children),
-    )
+    given tables; kind ("proof" or "refutation") names it in errors.
+
+    Two passes, as in formula_from_json: a pre-order walk checks every
+    node, children left to right, and decodes its sequent after its own
+    keys; then the nodes are built, children first."""
+    walked: list[tuple[dict, Sequent, object, object, list]] = []
+    stack = [obj]
+    while stack:
+        o = stack.pop()
+        if not isinstance(o, dict) or "sequent" not in o:
+            raise ValueError(f"not a {kind} object: {o!r}")
+        rule = o.get("rule")
+        axiom = o.get("axiom")
+        if rule is not None and rule not in rules:
+            raise ValueError(f"unknown rule: {rule!r}")
+        if axiom is not None and axiom not in axioms:
+            raise ValueError(f"unknown axiom: {axiom!r}")
+        children = o.get("children", [])
+        if not isinstance(children, list):
+            raise ValueError(f"{kind} 'children' must be a list")
+        walked.append((o, sequent_from_json(o["sequent"]), rule, axiom, children))
+        stack.extend(reversed(children))
+    built: dict[int, Derivation] = {}
+    for o, s, rule, axiom, children in reversed(walked):
+        built[id(o)] = Derivation(s, rule, axiom, tuple(built[id(c)] for c in children))
+    return built[id(obj)]
 
 
 def proof_from_json(obj: object) -> Derivation:

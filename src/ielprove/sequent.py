@@ -2,7 +2,11 @@
 
 A sequent <Theta ; Gamma => Delta> has three finite formula sets and an
 E-flag; E-sequents additionally commit their satisfying world to E-reach
-itself.  Terminal sequents split into axioms and flat sequents, with the
+itself.  A Sequent is the NamedTuple of those four fields, so it equals
+and unpacks like the plain tuple of them.  Its connective count (size) is
+not a field: it is computed when read, by the two checks that need it
+(premises must shrink, and a derivation's depth is bounded by its
+root's).  Terminal sequents split into axioms and flat sequents, with the
 axiom/flat roles swapped between the validity calculus and the refutational
 calculus.  The axioms of the validity calculus are tested here (liel_axiom),
 and they are the sequents no refutational rule applies to.  A flat sequent
@@ -14,14 +18,13 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .formula import (
     BOT,
     Bottom,
     Formula,
     Var,
-    _set,
     formula_from_json,
     formula_to_json,
     render,
@@ -37,39 +40,21 @@ class Logic(Enum):
     IEL_MINUS = "iel-"
 
 
-class Sequent:
-    """An immutable sequent; equality and hashing read the compartments and
-    the E-flag, not size, the connective count of all three, computed once."""
+class Sequent(NamedTuple):
+    """An immutable sequent: its four fields and nothing else.  It compares,
+    hashes and unpacks as the plain tuple (theta, gamma, delta, e_flag);
+    size, the connective count of all three compartments, is computed when
+    read, from the counts the formulas store."""
 
-    __slots__ = ("theta", "gamma", "delta", "e_flag", "size")
+    theta: frozenset[Formula] = frozenset()
+    gamma: frozenset[Formula] = frozenset()
+    delta: frozenset[Formula] = frozenset()
+    e_flag: bool = False
 
-    def __init__(self, theta: frozenset[Formula] = frozenset(),
-                 gamma: frozenset[Formula] = frozenset(),
-                 delta: frozenset[Formula] = frozenset(), e_flag: bool = False) -> None:
-        _set(self, "theta", theta)
-        _set(self, "gamma", gamma)
-        _set(self, "delta", delta)
-        _set(self, "e_flag", e_flag)
-        _set(self, "size", sum(map(_size, theta)) + sum(map(_size, gamma))
-             + sum(map(_size, delta)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Sequent:
-            return NotImplemented
-        return ((self.theta, self.gamma, self.delta, self.e_flag)
-                == (other.theta, other.gamma, other.delta, other.e_flag))
-
-    def __hash__(self) -> int:
-        return hash((self.theta, self.gamma, self.delta, self.e_flag))
-
-    def __repr__(self) -> str:
-        return (f"Sequent(theta={self.theta!r}, gamma={self.gamma!r}, delta={self.delta!r}, "
-                f"e_flag={self.e_flag!r})")
-
-    __setattr__ = __delattr__ = Formula.__setattr__
-
-    def __reduce__(self) -> tuple:
-        return Sequent, (self.theta, self.gamma, self.delta, self.e_flag)
+    @property
+    def size(self) -> int:
+        return (sum(map(_size, self.theta)) + sum(map(_size, self.gamma))
+                + sum(map(_size, self.delta)))
 
 
 def sequent(theta: Iterable[Formula] = (), gamma: Iterable[Formula] = (),

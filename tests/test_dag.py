@@ -26,6 +26,7 @@ from ielprove.rules import (
     derivation_json,
     derivation_text,
     derivation_to_json,
+    proof_from_json,
     rule_node,
 )
 from ielprove.sequent import Logic, sequent
@@ -262,3 +263,18 @@ class TestDeepDerivation:
         lines = derivation_text(t).split("\n")
         assert len(lines) == self.N + 1
         assert lines[-1] == "  " * self.N + derivation_text(self._chain(0))
+
+    def test_decode_without_recursion(self):
+        """A 2,000-node chain handed to the decoder as Python objects, deeper
+        than CPython's json decoder reads: each node is checked on the way
+        down and built on the way back, children first."""
+        n = 2000
+        leaf = derivation_to_json(self._chain(0))
+        obj = leaf
+        for _ in range(n):
+            obj = {"sequent": leaf["sequent"], "rule": "AndL", "axiom": None, "children": [obj]}
+        t = proof_from_json(obj)
+        assert derivation_depth(t) == n
+        assert derivation_json(t) == derivation_json(self._chain(n))
+        kinds = [d.kind for d in check_proof(t, Logic.IEL)]
+        assert kinds == ["BadInstantiation"] * n + ["BadAxiom", "DepthBound"]

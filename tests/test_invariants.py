@@ -14,7 +14,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import formulas
 from ielprove import rules
-from ielprove.formula import And, Bottom, Imp, K, Or, Var, parse, render, subformulas
+from ielprove.formula import BOT, And, Bottom, Imp, K, Or, Var, parse, render, subformulas
 from ielprove.kripke import depth
 from ielprove.oracle import random_formulas
 from ielprove.prover import _search, decide, outcome_defect, piel
@@ -27,6 +27,7 @@ from ielprove.rules import (
     expansion,
     liel_flat,
     principals,
+    riel_axiom,
     rule_instances,
 )
 from ielprove.sequent import Logic, Sequent, liel_axiom, sequent
@@ -91,6 +92,28 @@ def _reference_expansion(s: Sequent, logic: Logic) -> list:
     return insts or list(rule_instances("KL", s, logic))[:1]
 
 
+# Sequents of atoms, falsum and K-formulas, the shapes flat sequents hold,
+# so that many drawn sequents are flat.
+_atoms_and_ks = st.one_of(st.sampled_from([Var("a"), Var("b"), BOT]), st.builds(K, formulas))
+near_flat_sequents = st.builds(
+    sequent,
+    st.frozensets(formulas, max_size=2),
+    st.frozensets(_atoms_and_ks, max_size=3),
+    st.frozensets(_atoms_and_ks, max_size=2),
+    st.booleans(),
+)
+
+
+def _two_pass_riel_axiom(s: Sequent, logic: Logic):
+    """riel_axiom by two flat tests: a flat plain sequent is Sat when it is
+    flat under IEL too, and kSat when only IEL's left K rule expands it."""
+    if not liel_flat(s, logic):
+        return None
+    if s.e_flag:
+        return "eSat"
+    return "Sat" if liel_flat(s, Logic.IEL) else "kSat"
+
+
 class TestFlatMeansNoRule:
     @given(sequents)
     def test_flat_exactly_when_no_axiom_and_no_instance(self, s):
@@ -118,6 +141,14 @@ class TestFlatMeansNoRule:
             # Empty exactly when no rule has an instance.
             assert (not insts) == all(next(rule_instances(rule, s, logic), None) is None
                                       for rule in RULES)
+
+    @given(st.one_of(sequents, near_flat_sequents))
+    @example(sequent([], [K(Var("a")), Var("b")], [Var("c")]))  # kSat under IEL- only
+    @example(sequent([BOT], [Var("a")], [Var("c")], True))  # eSat under both
+    @example(sequent([], [Var("b")], [Var("c")]))  # Sat under both
+    def test_riel_axiom_is_the_two_pass_definition(self, s):
+        for logic in Logic:
+            assert riel_axiom(s, logic) == _two_pass_riel_axiom(s, logic)
 
     def test_the_search_tries_every_rule(self):
         # With the properties above, a sequent the search expands has an

@@ -113,6 +113,31 @@ class TestImmutableRecords:
         assert t == u and hash(t) == hash(u)
 
 
+class TestSequentRecord:
+    """A Sequent is the NamedTuple of its four fields; size is computed."""
+
+    s = sequent([parse("a")], [parse("K(a | b)")], [parse("~c & a")], True)
+
+    def test_fields(self):
+        assert Sequent._fields == ("theta", "gamma", "delta", "e_flag")
+        assert "size" not in Sequent._fields and self.s.size == 4
+
+    def test_unpacks_to_its_fields(self):
+        theta, gamma, delta, e_flag = self.s
+        assert (theta, gamma, delta, e_flag) == (self.s.theta, self.s.gamma, self.s.delta, True)
+        assert self.s == (theta, gamma, delta, e_flag)  # a tuple equals its plain tuple
+
+    def test_replace_is_a_fresh_sequent(self):
+        c = frozenset({parse("c")})
+        t = self.s._replace(delta=c, e_flag=False)
+        fresh = Sequent(self.s.theta, self.s.gamma, c, False)
+        assert type(t) is Sequent and t == fresh and hash(t) == hash(fresh) and t.size == 2
+
+    def test_hash_is_the_hash_of_its_fields(self):
+        s = self.s
+        assert hash(s) == hash((s.theta, s.gamma, s.delta, s.e_flag))
+
+
 class TestCopyAndPickle:
     @pytest.mark.parametrize("make", [
         lambda: parse("a -> K b"),
