@@ -24,8 +24,13 @@ from .refuter import (
     refutation_json,
     refutation_model,
 )
-from .rules import check_proof, derivation_json, derivation_text, proof_from_json
+from .rules import check_proof, derivation_json, derivation_size, derivation_text, proof_from_json
 from .sequent import Logic
+
+
+# The most tree nodes (rules.derivation_size) of a derivation that decide, prove
+# and refute print or build a model from: "a -> ... -> a" with n arrows has 2^(n+1) - 1.
+MAX_TREE_NODES = 100_000
 
 
 class CliError(Exception):
@@ -91,7 +96,12 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     logic = _logic(args)
     refute, prove = args.command == "refute", args.command == "prove"
     out = prove_or_refute_formula(f, logic)
-    if isinstance(out, Proof):
+    proved = isinstance(out, Proof)
+    nodes = derivation_size(out.tree if proved else out)
+    if nodes > MAX_TREE_NODES:
+        raise CliError(f"the {'proof' if proved else 'refutation'} has {nodes} nodes as a tree, "
+                       f"more than the {MAX_TREE_NODES} this command prints")
+    if proved:
         _verify(f, out, logic)
         if args.format == "json":
             _emit_json({"status": "valid"}, proof=derivation_json(out.tree))

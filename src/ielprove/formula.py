@@ -187,23 +187,18 @@ _TOKEN_RE = re.compile(
         | (?P<neg>~)
         | (?P<lp>\()
         | (?P<rp>\))
+        | (?P<bad>\S)
         )""",
     re.VERBOSE,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise FormulaSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    tokens = [(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+              for m in _TOKEN_RE.finditer(text)]
+    for kind, value, pos in tokens:
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {value!r}", pos)
     return tokens
 
 

@@ -2,15 +2,17 @@
 
 One recursive search builds derivations only: a proof of the validity
 calculus when the sequent is provable, otherwise a refutation together
-with the depth of the Kripke model it maps onto.  A sequent that is no
-axiom is decided by the instances rules.expansion gives, or is flat when
-there are none.  One routine (_choose) makes the minimal-depth choice
-between the refutations of the premises and the Glue of all rightmost
-premises.  It skips a premise that could only give a refutation no
-shallower than the best one already found, and every memo entry is still
-the exact result for its sequent.  piel and decide build the countermodel
-once, from the refutation the search returns (refuter.refutation_model).
-outcome_defect is the one test that an outcome certifies its verdict.
+with the depth of the Kripke model it maps onto.  _search proves an axiom,
+finds a sequent flat when rules.expansion gives it no instances, and
+otherwise hands them to _choose: two frames a level, so formulas about 490
+deep decide under Python's default recursion limit.  _choose makes the
+minimal-depth choice between the refutations of the premises and the Glue
+of all rightmost premises.  It skips a premise that could only give a
+refutation no shallower than the best one already found, and every memo
+entry is still the exact result for its sequent.  piel and decide build
+the countermodel once, from the refutation the search returns
+(refuter.refutation_model).  outcome_defect is the one test that an
+outcome certifies its verdict.
 """
 
 from __future__ import annotations
@@ -50,22 +52,19 @@ _Memo = dict[Sequent, tuple[Derivation, int]]
 def _search(s: Sequent, logic: Logic, memo: _Memo) -> tuple[Derivation, int]:
     """Decide s: a proof and depth 0, or a refutation and the depth (at
     least 1) of the model it maps onto.  The memo keeps the results of one
-    call's earlier subsequents: _step is a pure function of (sequent,
+    call's earlier subsequents: the result is a pure function of (sequent,
     logic), so a memo hit is exactly what recomputing would return."""
     hit = memo.get(s)
     if hit is None:
-        hit = memo[s] = _step(s, logic, memo)
+        name = liel_axiom(s)
+        if name is not None:
+            hit = axiom_leaf(s, name), 0
+        else:
+            insts = expansion(s, logic)
+            hit = _choose(s, insts, logic, memo) if insts else (
+                axiom_leaf(s, riel_axiom(s, logic)), 1)
+        memo[s] = hit
     return hit
-
-
-def _step(s: Sequent, logic: Logic, memo: _Memo) -> tuple[Derivation, int]:
-    name = liel_axiom(s)
-    if name is not None:
-        return axiom_leaf(s, name), 0
-    insts = expansion(s, logic)
-    if not insts:
-        return axiom_leaf(s, riel_axiom(s, logic)), 1
-    return _choose(s, insts, logic, memo)
 
 
 def _choose(s: Sequent, insts: tuple[Instantiation, ...], logic: Logic,

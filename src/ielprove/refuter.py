@@ -26,9 +26,7 @@ from .rules import (
     derivation_from_json,
     derivation_json,
     derivation_to_json,
-    expand,
     expansion,
-    instances,
     riel_axiom,
     rule_instances,
 )
@@ -65,42 +63,37 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
     global proviso, exact (and nonempty) Glue premise families, satisfiable
     leaves, the depth bound and the subformula property."""
 
-    def cannot_fire(node: Refutation, found: dict) -> Optional[Defect]:
+    def rule_defect(node: Refutation) -> tuple[Optional[Defect], bool]:
         s, rule = node.sequent, node.rule
         if rule not in RIEL_RULES:
-            return Defect("BadRule", repr(rule))
+            return Defect("BadRule", repr(rule)), False
         if logic is Logic.IEL_MINUS and rule in ("KL1", "KL2"):
-            return Defect("BadRule", f"{rule} is not available under IEL-")
+            return Defect("BadRule", f"{rule} is not available under IEL-"), False
         if liel_axiom(s) is not None:
-            return Defect("ProvisoViolation", f"{rule} fired on {sequent_text(s)}")
-        return None
-
-    def bad_premises(node: Refutation, found: dict) -> Optional[Defect]:
-        s, rule = node.sequent, node.rule
+            return Defect("ProvisoViolation", f"{rule} fired on {sequent_text(s)}"), False
         got = tuple(c.sequent for c in node.children)
         if rule in ("Glue", "eGlue"):
-            insts = expand(s, found)
+            insts = expansion(s, logic)
             expected = [inst.premises[-1] for inst in insts if inst.rule in NONINVERTIBLE]
             # With no premises, s may be expanded by an invertible rule instead.
             if (rule == "Glue") == s.e_flag or not expected and any(
                     inst.rule in INVERTIBLE for inst in insts):
-                return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}")
+                return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}"), True
             if not expected:
-                return Defect("EmptyGlue", sequent_text(s))
+                return Defect("EmptyGlue", sequent_text(s)), True
             if Counter(got) != Counter(expected):
                 return Defect("BadInstantiation",
-                              f"{rule} premises do not match on {sequent_text(s)}")
-            return None
+                              f"{rule} premises do not match on {sequent_text(s)}"), True
+            return None, True
         if rule == "KL2" and not atoms_only(s.delta):
             return Defect("ProvisoViolation",
-                          f"KL2 needs an atomic third compartment: {sequent_text(s)}")
+                          f"KL2 needs an atomic third compartment: {sequent_text(s)}"), True
         premise_of, i = _PREMISE_OF[rule]
-        if any((inst.premises[i],) == got for inst in instances(premise_of, s, found)):
-            return None
-        return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}")
+        if any((inst.premises[i],) == got for inst in rule_instances(premise_of, s, logic)):
+            return None, True
+        return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}"), True
 
-    return check_derivation(t, logic, lambda s, name: riel_axiom(s, logic) == name,
-                            cannot_fire, bad_premises)
+    return check_derivation(t, lambda s, name: riel_axiom(s, logic) == name, rule_defect)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ of every rule that fires on it, through a map from compartment and
 connective to rule derived from the table; rule_instances, the flat tests
 (liel_flat, riel_axiom) and expansion, the instances the search decides a
 sequent by, all read it.  Proofs and refutations share one tree type, one
-checker skeleton (rule validity is the calculus's own; the depth bound and
-the subformula property are common) and one JSON codec.
+checker skeleton (check_derivation: the subformula property, leaf and node
+shape, the depth bound; a calculus adds an axiom test and a rule test, which
+makes its own principal pass) and one JSON codec.
 """
 
 from __future__ import annotations
@@ -74,19 +75,31 @@ def rule_node(s: Sequent, rule: str, children: tuple[Derivation, ...]) -> Deriva
     return Derivation(s, rule, None, children)
 
 
+def _bottom_up(t: Derivation, combine: Callable[[list[int]], int]) -> int:
+    """t's value, a node's being combine of its children's; once per distinct node."""
+    value: dict[int, int] = {}
+    stack = [(t, iter(t.children))]
+    while stack:
+        node, kids = stack[-1]
+        for c in kids:
+            if id(c) not in value:
+                stack.append((c, iter(c.children)))
+                break
+        else:
+            stack.pop()
+            value[id(node)] = combine([value[id(c)] for c in node.children])
+    return value[id(t)]
+
+
 def derivation_depth(t: Derivation) -> int:
     """Length in edges of the longest branch."""
-    depth: dict[int, int] = {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        todo = [c for c in node.children if id(c) not in depth]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        depth[id(node)] = 1 + max(depth[id(c)] for c in node.children) if node.children else 0
-    return depth[id(t)]
+    return _bottom_up(t, lambda depths: 1 + max(depths, default=-1))
+
+
+def derivation_size(t: Derivation) -> int:
+    """Number of nodes of t as a tree, which text and JSON write out: a
+    shared node counts once per occurrence."""
+    return _bottom_up(t, lambda sizes: 1 + sum(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +268,7 @@ def expansion(s: Sequent, logic: Logic) -> tuple[Instantiation, ...]:
     first invertible rule that has one; else every instance of the
     non-invertible rules; else the first instance of KL.  Empty exactly
     when no rule has an instance."""
-    return expand(s, principals(s, logic))
-
-
-def expand(s: Sequent, found: dict[str, list[Formula]]) -> tuple[Instantiation, ...]:
-    """expansion(s, logic), given found = principals(s, logic)."""
+    found = principals(s, logic)
     for rule in INVERTIBLE:
         if rule in found:
             return (_instance(s, rule, found[rule][0]),)
@@ -303,17 +312,16 @@ class Defect(NamedTuple):
         return f"{self.kind}: {self.message}"
 
 
-def check_derivation(t: Derivation, logic: Logic,
-                     axiom_fits: Callable[[Sequent, str], bool],
-                     cannot_fire: Callable[[Derivation, dict], Optional[Defect]],
-                     bad_premises: Callable[[Derivation, dict], Optional[Defect]]) -> list[Defect]:
+def check_derivation(t: Derivation, axiom_fits: Callable[[Sequent, str], bool],
+                     rule_defect: Callable[[Derivation], tuple[Optional[Defect], bool]]
+                     ) -> list[Defect]:
     """The checks both calculi share: the subformula property relative to
     the root sequent (falsum always allowed), fitting axiom leaves, no node
     with both a rule and an axiom, and depth bounded by the connective count
-    of the root.  At each rule node, cannot_fire reports a rule that cannot
-    fire on the node's sequent at all (its subtree is then not visited), and
-    bad_premises reports children that are not the rule's premises; both are
-    handed the sequent's principals(s, logic), found once per node."""
+    of the root.  A calculus gives the rest as two tests: axiom_fits(s,
+    name) for a leaf, and rule_defect(node) for a rule node, which returns
+    the rule's defect there, or None, and whether the node's children are
+    checked."""
     defects: list[Defect] = []
     root = t.sequent
     allowed: frozenset[Formula] = frozenset({BOT})
@@ -338,15 +346,10 @@ def check_derivation(t: Derivation, logic: Logic,
         if node.axiom is not None:
             defects.append(Defect("MalformedNode", sequent_text(s)))
             return False
-        found = principals(s, logic)
-        stop = cannot_fire(node, found)
-        if stop is not None:
-            defects.append(stop)
-            return False
-        bad = bad_premises(node, found)
-        if bad is not None:
-            defects.append(bad)
-        return True
+        defect, descend = rule_defect(node)
+        if defect is not None:
+            defects.append(defect)
+        return descend
 
     # Pre-order, children left to right.  A subtree's defects form one run
     # of the list, so a repeated node re-appends the run its first
@@ -386,18 +389,17 @@ def check_proof(t: Derivation, logic: Logic) -> list[Defect]:
     bounded by the connective count of the root, and the subformula
     property relative to the root sequent (falsum always allowed)."""
 
-    def cannot_fire(node: Derivation, found: dict) -> Optional[Defect]:
-        if liel_axiom(node.sequent) is None and found:
-            return None
-        return Defect("RuleOnTerminal", f"{node.rule} on terminal {sequent_text(node.sequent)}")
-
-    def bad_premises(node: Derivation, found: dict) -> Optional[Defect]:
+    def rule_defect(node: Derivation) -> tuple[Optional[Defect], bool]:
+        s = node.sequent
+        found = principals(s, logic)
+        if liel_axiom(s) is not None or not found:
+            return Defect("RuleOnTerminal", f"{node.rule} on terminal {sequent_text(s)}"), False
         got = tuple(c.sequent for c in node.children)
-        if any(inst.premises == got for inst in instances(node.rule, node.sequent, found)):
-            return None
-        return Defect("BadInstantiation", f"{node.rule} on {sequent_text(node.sequent)}")
+        if any(inst.premises == got for inst in instances(node.rule, s, found)):
+            return None, True
+        return Defect("BadInstantiation", f"{node.rule} on {sequent_text(s)}"), True
 
-    return check_derivation(t, logic, _axiom_fits, cannot_fire, bad_premises)
+    return check_derivation(t, _axiom_fits, rule_defect)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -378,7 +379,7 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("argv", [
         ("crosscheck", "--bound", "0", "K a -> a"),
         ("crosscheck", "--random", "-1"),
-        ("decide", "~" * 400 + "a"),
+        ("decide", "~" * 1000 + "a"),
     ])
     def test_bad_input_exits_2_without_traceback(self, argv):
         run = run_process(*argv)
@@ -442,7 +443,7 @@ class TestExitCodeContract:
 
     def test_over_deep_formula_is_one_documented_line(self, capsys):
         # The proof search recurses.
-        assert run(capsys, "decide", "~" * 400 + "a") == self.TOO_DEEP
+        assert run(capsys, "decide", "~" * 1000 + "a") == self.TOO_DEEP
 
     def test_other_exception_names_its_type(self, capsys, monkeypatch):
         def broken(f, logic):
@@ -452,9 +453,64 @@ class TestExitCodeContract:
         assert run(capsys, "decide", "a") == (2, "", "error: KeyError: 'x'\n")
 
     def test_unexpected_exception_is_one_line(self, capsys):
-        code, out, err = run(capsys, "decide", "~" * 400 + "a")
+        code, out, err = run(capsys, "decide", "~" * 1000 + "a")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("prefix", ["~", "K "])
+    def test_deep_chain_decides(self, prefix):
+        # The search spends two frames a level: 400 levels fit in Python's
+        # default recursion limit of 1,000.
+        assert run_process("decide", prefix * 400 + "a").returncode == 1
+
+    @pytest.mark.parametrize("command", ["decide", "prove", "refute"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_tree_too_large_to_print(self, capsys, command, fmt):
+        # One search node a level, but ImpR's two premises are the same
+        # sequent: as a tree, the proof has 2^31 - 1 nodes.
+        assert run(capsys, command, "--format", fmt, "a -> " * 30 + "a") == (
+            2, "", "error: the proof has 2147483647 nodes as a tree, "
+                   "more than the 100000 this command prints\n")
+
+    TOO_LARGE = re.compile(r"error: the (proof|refutation) has \d+ nodes as a tree, "
+                           r"more than the 100000 this command prints\n")
+
+    @settings(max_examples=15, deadline=None)
+    @given(shape=st.sampled_from(["K ", "~", "a -> ", "("]), n=st.integers(2000, 5000),
+           # Between 9 and 16 implications a certificate prints, and takes
+           # seconds to write and check.
+           inner=st.integers(0, 8) | st.integers(17, 30),
+           logic=st.sampled_from(["iel", "iel-"]))
+    def test_deep_chains(self, tmp_path_factory, shape, n, inner, logic):
+        """n connectives of one shape over "a", or n parentheses around a
+        chain of inner implications: decide and refute exit 0 or 1 with
+        certificates that check-proof, check-refutation and check-model
+        accept, or exit 2 with one of two lines; check-proof on an Id leaf
+        over the chain accepts it, or exits 2 as nested too deeply."""
+        if shape == "(":
+            text = "(" * n + "a -> " * inner + "a" + ")" * n
+        else:
+            text = shape * n + "a"
+        path = tmp_path_factory.getbasetemp() / "chain.json"
+
+        def check(command, certificate):
+            path.write_text(certificate)
+            code, out, err = _main_captured([command, "--logic", logic, str(path)])
+            assert (code, out, err) in ((0, "ok\n", ""), self.TOO_DEEP)
+
+        for command in ("decide", "refute"):
+            code, out, err = _main_captured([command, "--format", "json", "--logic", logic,
+                                             text])
+            if code == 2:
+                assert out == "" and (err == self.TOO_DEEP[2] or self.TOO_LARGE.fullmatch(err))
+                continue
+            assert code in (0, 1) and err == ""
+            obj = json.loads(out)
+            for key in CHECKERS.keys() & obj.keys():
+                check(CHECKERS[key], json.dumps(obj[key]))
+        f = parse(text)
+        check("check-proof", derivation_json(axiom_leaf(
+            Sequent(gamma=frozenset({f}), delta=frozenset({f})), "Id")))
 
 
 # Random JSON built from the certificates' own keys and names, so that
