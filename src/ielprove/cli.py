@@ -41,15 +41,20 @@ def _logic(args: argparse.Namespace) -> Logic:
     return Logic(args.logic)
 
 
+def _read_text(path: str) -> str:
+    """The file's text; a file that cannot be opened or is not UTF-8 is an error."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_formula(args: argparse.Namespace) -> Formula:
     if args.file is not None and args.formula is not None:
         raise CliError("give a formula or --file, not both")
     if args.file is not None:
-        try:
-            with open(args.file, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.file}: {exc}") from exc
+        text = _read_text(args.file)
     elif args.formula is not None:
         text = args.formula
     else:
@@ -61,11 +66,9 @@ def _read_formula(args: argparse.Namespace) -> Formula:
 
 
 def _read_json(path: str) -> object:
+    text = _read_text(path)
     try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -228,11 +231,7 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    try:
-        with open(args.corpus, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.corpus}: {exc}") from exc
+    lines = _read_text(args.corpus).splitlines()
     total = 0
     failed = 0
     for lineno, line in enumerate(lines, start=1):

@@ -3,52 +3,94 @@
 Syntax trees over atoms, falsum, conjunction, disjunction, implication and
 the epistemic modality K, with an ASCII concrete syntax.  Negation is not a
 constructor: ``~A`` is parsed and printed as sugar for ``A -> false``.
+
+Formulas are hash-consed across the process: there is at most one live
+formula per rendered text, and every way of building one (the shapes'
+constructors, parse, formula_from_json, copy and pickle) returns it, so
+equal formulas are one object and compare and hash by identity.  The table
+of live formulas holds weak references only, so a formula is freed once
+nothing else refers to it.
 """
 
 from __future__ import annotations
 
 import re
+from _thread import allocate_lock
+from _weakref import _remove_dead_weakref
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Optional
+from weakref import ref
 
 
 _NAME_RE = re.compile(r"(?!false\Z)[a-z][a-zA-Z0-9_]*\Z")  # `false` is falsum
+
+# Binding levels, loosest first, for rendering with minimal parentheses.
+_IMP, _OR, _AND, _UNARY, _ATOM = 1, 2, 3, 4, 5
+
+
+def _at(f: Formula, min_level: int) -> str:
+    """f's text where a formula of at least min_level is needed."""
+    return f._text if f._level >= min_level else "(" + f._text + ")"
+
+
+class _Entry(ref):
+    """A weak reference to a live formula that knows the formula's text."""
+
+    __slots__ = ("text",)
+
+
+_live: dict[str, _Entry] = {}  # rendered text -> the live formula with that text
+_lock = allocate_lock()  # held while a formula is built and registered
+
+
+def _forget(entry: _Entry) -> None:
+    # Called when a formula is freed; keeps a newer formula with the same text.
+    _remove_dead_weakref(_live, entry.text)
+
+
+def _live_formula(text: str) -> Optional[Formula]:
+    entry = _live.get(text)
+    return None if entry is None else entry()
 
 
 _set = object.__setattr__  # how formulas set their own fields; plain assignment raises
 
 
+def _intern(cls: type, text: str, level: int, size: int, *fields: object) -> Formula:
+    """The live formula with this text, or else a new one of class cls with
+    these fields (in cls.__match_args__ order), built and registered under
+    the lock so that two threads never build one text twice."""
+    f = _live_formula(text)
+    if f is None:
+        with _lock:
+            f = _live_formula(text)
+            if f is None:
+                f = object.__new__(cls)
+                for key, value in zip(cls.__match_args__, fields):
+                    _set(f, key, value)
+                _set(f, "_size", size)
+                _set(f, "_text", text)
+                _set(f, "_level", level)
+                _set(f, "_subs", None)
+                entry = _live[text] = _Entry(f, _forget)
+                entry.text = text
+    return f
+
+
 class Formula:
     """Base class; concrete shapes are Var, Bottom, And, Or, Imp and K.
 
-    Each node computes its hash, connective count and rendered text once,
-    when it is built, from the values its children already hold: none of
-    them recurses, and nothing is cached outside the node.  Two formulas are
-    equal when their texts are, so comparing them does not recurse either.
-    Its fields (name, body, or left and right) are its vars(); none can be set.
+    Each shape's constructor renders the node's text in one step from its
+    children's stored texts and levels, and returns the live formula with
+    that text if there is one: render is injective, so that formula is the
+    equal one.  Otherwise it builds the node, with its connective count,
+    text and binding level, and registers it.  So building a formula does
+    not recurse, and equality and hashing are object identity, inherited
+    from object.  Its fields (name, body, or left and right, as named by
+    __match_args__) are its vars(); none can be set.
     """
 
-    __slots__ = ("_hash", "_size", "_text", "_level", "_subs")
-
-    def __eq__(self, other: object) -> bool:
-        # render is injective, so equal texts mean equal trees.
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return self is other or self._text == other._text
-
-    def _build(self, **fields: object) -> None:
-        """Every subclass's __init__ ends here, with its fields in order."""
-        vars(self).update(fields)
-        children = [v for v in fields.values() if isinstance(v, Formula)]
-        _set(self, "_hash", hash((type(self).__name__, *fields.values())))
-        _set(self, "_size", sum(c._size for c in children) + (1 if children else 0))
-        text, level = _rend(self)
-        _set(self, "_text", text)
-        _set(self, "_level", level)
-        _set(self, "_subs", None)
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("_size", "_text", "_level", "_subs")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
@@ -59,40 +101,68 @@ class Formula:
     __delattr__ = __setattr__
 
     def __reduce__(self) -> tuple:
-        # copy and pickle rebuild a formula from its fields, not slot by slot.
+        # pickle rebuilds a formula through its constructor, so it is shared too.
         return type(self), tuple(vars(self).values())
+
+    def __copy__(self) -> Formula:
+        return self
+
+    def __deepcopy__(self, memo: dict) -> Formula:
+        return self
 
 
 class Var(Formula):
-    def __init__(self, name: str) -> None:
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str) -> Var:
+        f = _live_formula(name)
+        if type(f) is Var:  # a live name needs no check; `false` is Bottom's text
+            return f
         if not _NAME_RE.match(name):
             raise ValueError(f"bad variable name: {name!r}")
-        self._build(name=name)
+        return _intern(cls, name, _ATOM, 0, name)
 
 
 class Bottom(Formula):
-    def __init__(self) -> None:
-        self._build()
+    __match_args__ = ()
+
+    def __new__(cls) -> Bottom:
+        return _intern(cls, "false", _ATOM, 0)
 
 
 class And(Formula):
-    def __init__(self, left: Formula, right: Formula) -> None:
-        self._build(left=left, right=right)
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula) -> And:
+        return _intern(cls, _at(left, _AND) + " & " + _at(right, _AND + 1), _AND,
+                       left._size + right._size + 1, left, right)
 
 
 class Or(Formula):
-    def __init__(self, left: Formula, right: Formula) -> None:
-        self._build(left=left, right=right)
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula) -> Or:
+        return _intern(cls, _at(left, _OR) + " | " + _at(right, _OR + 1), _OR,
+                       left._size + right._size + 1, left, right)
 
 
 class Imp(Formula):
-    def __init__(self, left: Formula, right: Formula) -> None:
-        self._build(left=left, right=right)
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula) -> Imp:
+        if right is BOT:  # ~A is sugar for A -> false
+            text, level = "~" + _at(left, _UNARY), _UNARY
+        else:
+            text, level = _at(left, _IMP + 1) + " -> " + _at(right, _IMP), _IMP
+        return _intern(cls, text, level, left._size + right._size + 1, left, right)
 
 
 class K(Formula):
-    def __init__(self, body: Formula) -> None:
-        self._build(body=body)
+    __match_args__ = ("body",)
+
+    def __new__(cls, body: Formula) -> K:
+        return _intern(cls, ("K " if body._level >= _UNARY else "K") + _at(body, _UNARY),
+                       _UNARY, body._size + 1, body)
 
 
 # ---------------------------------------------------------------------------
@@ -119,33 +189,9 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 
 
 # ---------------------------------------------------------------------------
-# Rendering (minimal parentheses; render is injective and parse(render(f)) = f)
+# Rendering (minimal parentheses, built by the constructors; render is
+# injective and parse(render(f)) is f)
 # ---------------------------------------------------------------------------
-
-_IMP, _OR, _AND, _UNARY, _ATOM = 1, 2, 3, 4, 5
-
-
-def _rend(f: Formula) -> tuple[str, int]:
-    if isinstance(f, Var):
-        return f.name, _ATOM
-    if isinstance(f, Bottom):
-        return "false", _ATOM
-    if isinstance(f, Imp) and f.right == BOT:
-        return "~" + _at(f.left, _UNARY), _UNARY
-    if isinstance(f, K):
-        return ("K " if f.body._level >= _UNARY else "K") + _at(f.body, _UNARY), _UNARY
-    if isinstance(f, And):
-        return _at(f.left, _AND) + " & " + _at(f.right, _AND + 1), _AND
-    if isinstance(f, Or):
-        return _at(f.left, _OR) + " | " + _at(f.right, _OR + 1), _OR
-    if isinstance(f, Imp):
-        return _at(f.left, _IMP + 1) + " -> " + _at(f.right, _IMP), _IMP
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _at(f: Formula, min_level: int) -> str:
-    return f._text if f._level >= min_level else "(" + f._text + ")"
-
 
 BOT = Bottom()
 BINARY_OPS: dict[str, type] = {"and": And, "or": Or, "imp": Imp}

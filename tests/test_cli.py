@@ -423,6 +423,18 @@ class TestExitCodeContract:
         assert run(capsys, command, "a -> a", "--file", str(path)) == (
             2, "", "error: give a formula or --file, not both\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("decide", "--file"), ("check-proof",), ("check-model",), ("check-refutation",),
+        ("batch", "--corpus"),
+    ], ids=["decide", "check-proof", "check-model", "check-refutation", "batch"])
+    def test_file_that_is_not_utf8_cannot_be_read(self, capsys, tmp_path, argv):
+        # Latin-1 text: before, check-* called this a schema error, and
+        # decide and batch printed "error: UnicodeDecodeError: ...".
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("K a -> ä".encode("latin-1"))
+        reason = "'utf-8' codec can't decode byte 0xe4 in position 7: unexpected end of data"
+        assert run(capsys, *argv, str(path)) == (2, "", f"error: cannot read {path}: {reason}\n")
+
     @pytest.mark.parametrize("command", ["check-proof", "check-refutation", "crosscheck", "prove"])
     def test_dot_only_where_a_model_is_drawn(self, capsys, tmp_path, command):
         # Real certificates: before dot was refused, these printed "ok".

@@ -1,20 +1,36 @@
-"""The invariants the search and its memo table lean on: stored formula hashes,
-stored sequent sizes, the premise-shrink check in rule_instances, the model
-depth carried next to each refutation, a rule instance on every sequent
-that is neither an axiom nor flat, and the one principal pass (principals,
-expansion) against per-rule references."""
+"""The invariants the search and its memo table lean on: one live object per
+distinct formula, stored sequent sizes, the premise-shrink check in
+rule_instances, the model depth carried next to each refutation, a rule
+instance on every sequent that is neither an axiom nor flat, and the one
+principal pass (principals, expansion) against per-rule references."""
 
+import copy
 import gc
+import pickle
 import subprocess
 import sys
+import threading
 import weakref
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import formulas
-from ielprove import rules
-from ielprove.formula import BOT, And, Bottom, Imp, K, Or, Var, parse, render, subformulas
+from ielprove import formula, rules
+from ielprove.formula import (
+    BOT,
+    And,
+    Bottom,
+    Imp,
+    K,
+    Or,
+    Var,
+    formula_from_json,
+    formula_to_json,
+    parse,
+    render,
+    subformulas,
+)
 from ielprove.kripke import depth
 from ielprove.oracle import random_formulas
 from ielprove.prover import _search, decide, outcome_defect, piel
@@ -170,7 +186,7 @@ class TestFormulaHash:
             return f
 
         f, g = chain(), chain()
-        assert f == g and f is not g and len({f, g}) == 1
+        assert f == g and f is g and len({f, g}) == 1
         assert f != K(f)
         assert isinstance(hash(f), int)
         assert hash(f) != hash(K(f))
@@ -194,6 +210,55 @@ class TestFormulaHash:
         a, b = Var("a"), Var("b")
         shapes = [And(a, b), Or(a, b), Imp(a, b), And(b, a), K(a), a]
         assert len({hash(f) for f in shapes}) == len(shapes)
+
+
+class TestHashConsing:
+    """Formulas are hash-consed: one live object per rendered text."""
+
+    @given(formulas)
+    def test_equal_formulas_are_one_object(self, f):
+        assert parse(render(f)) is f
+        assert type(f)(*vars(f).values()) is f
+        assert formula_from_json(formula_to_json(f)) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.deepcopy(f) is f and copy.copy(f) is f
+
+    def test_threads_build_one_object_per_text(self):
+        # The formulas are dropped before the threads start, so most texts
+        # have no live formula and the threads race to build them.
+        texts = [render(f) for f in random_formulas(200, seed=5, max_connectives=12)]
+        start = threading.Barrier(4, timeout=30)
+        built: list[list] = [[] for _ in range(4)]
+
+        def build(out: list) -> None:
+            start.wait()
+            out.extend(parse(text) for text in texts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(out,)) for out in built]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for i, text in enumerate(texts):
+            assert render(built[0][i]) == text
+            assert all(out[i] is built[0][i] for out in built)
+            assert all(g is formula._live[render(g)]() for g in subformulas(built[0][i]))
+
+    def test_table_holds_only_live_formulas(self):
+        gc.collect()
+        baseline = len(formula._live)
+        f = parse("(K a -> ~~a) & ~K false")
+        outcome = decide(f, Logic.IEL)
+        assert len(formula._live) > baseline
+        del f, outcome
+        gc.collect()
+        assert len(formula._live) == baseline
 
 
 class TestCarriedDepth:
