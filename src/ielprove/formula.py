@@ -93,7 +93,23 @@ class Formula:
     __slots__ = ("_size", "_text", "_level", "_subs")
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+        """Shape(field=value, ...), children in the same form, written from a
+        stack of formulas still to write and text, not by recursion."""
+        parts: list[str] = []
+        stack: list[object] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(type(item).__name__ + "(")
+            pieces: list[object] = []
+            for i, (key, value) in enumerate(vars(item).items()):
+                pieces.append((", " if i else "") + key + "=")
+                pieces.append(value if isinstance(value, Formula) else repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(parts)
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -101,8 +117,9 @@ class Formula:
     __delattr__ = __setattr__
 
     def __reduce__(self) -> tuple:
-        # pickle rebuilds a formula through its constructor, so it is shared too.
-        return type(self), tuple(vars(self).values())
+        # pickle writes a formula as its text, one flat string at any depth, and
+        # loads it through parse, which returns the live formula with that text.
+        return parse, (self._text,)
 
     def __copy__(self) -> Formula:
         return self

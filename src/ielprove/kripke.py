@@ -37,40 +37,59 @@ class Violation(NamedTuple):
 
 def check_frame(m: KripkeModel, logic: Logic) -> list[Violation]:
     """All frame violations; empty iff m is a model for the given logic."""
+    return order_violations(m) + e_violations(m, logic)
+
+
+def order_violations(m: KripkeModel) -> list[Violation]:
+    """The violations of the rooted order and of persistence: NotRooted,
+    NotPoset and NotPersistent, in check_frame's order."""
     out: list[Violation] = []
     ws = m.worlds
+    worlds = sorted(ws)
+    leq = sorted(m.leq)
     if m.root not in ws:
         out.append(Violation("NotRooted", (m.root,)))
-    for a, b in sorted(m.leq):
+    for a, b in leq:
         if a not in ws or b not in ws:
             out.append(Violation("NotPoset", (a, b)))
-    for w in sorted(ws):
+    for w in worlds:
         if (w, w) not in m.leq:
             out.append(Violation("NotPoset", (w,)))
-    for a, b in sorted(m.leq):
+    for a, b in leq:
         if a != b and (b, a) in m.leq:
             out.append(Violation("NotPoset", (a, b)))
-        for c in sorted(ws):
+        for c in worlds:
             if (b, c) in m.leq and (a, c) not in m.leq:
                 out.append(Violation("NotPoset", (a, b, c)))
     if m.root in ws:
-        for w in sorted(ws):
+        for w in worlds:
             if (m.root, w) not in m.leq:
                 out.append(Violation("NotRooted", (w,)))
-    for a, b in sorted(m.leq):
+    for a, b in leq:
         if a in ws and b in ws:
             if not m.valuation.get(a, frozenset()) <= m.valuation.get(b, frozenset()):
                 out.append(Violation("NotPersistent", (a, b)))
-    for a, b in sorted(m.e_rel):
-        if (a, b) not in m.leq:
+    return out
+
+
+def e_violations(m: KripkeModel, logic: Logic) -> list[Violation]:
+    """The violations of the E-relation: Im1, Im2 and, for IEL, Im3, in
+    check_frame's order."""
+    out: list[Violation] = []
+    worlds, leq, e_rel = m.worlds, m.leq, m.e_rel
+    successors: dict[int, list[int]] = {}  # E-successors among the worlds, ascending
+    for a, b in sorted(e_rel):
+        if (a, b) not in leq:
             out.append(Violation("Im1", (a, b)))
-    for a, b in sorted(m.leq):
-        for c in sorted(ws):
-            if (b, c) in m.e_rel and (a, c) not in m.e_rel:
+        if b in worlds:
+            successors.setdefault(a, []).append(b)
+    for a, b in sorted(leq):
+        for c in successors.get(b, ()):
+            if (a, c) not in e_rel:
                 out.append(Violation("Im2", (a, b, c)))
     if logic is Logic.IEL:
-        for w in sorted(ws):
-            if not any((w, v) in m.e_rel for v in ws):
+        for w in sorted(worlds):
+            if w not in successors:
                 out.append(Violation("Im3", (w,)))
     return out
 

@@ -260,6 +260,25 @@ class TestHashConsing:
         gc.collect()
         assert len(formula._live) == baseline
 
+    def test_deep_chain_pickles_and_reprs_without_recursion(self):
+        f = parse("K " * 3000 + "a")
+        data = pickle.dumps(f)
+        assert pickle.loads(data) is f
+        assert render(f).encode() in data  # one flat string
+        assert repr(f) == "K(body=" * 3000 + "Var(name='a')" + ")" * 3000
+
+    @given(formulas)
+    @example(parse("~(K a & b) | false -> a_1"))
+    def test_repr_is_the_recursive_text(self, f):
+        assert repr(f) == _recursive_repr(f)
+
+
+def _recursive_repr(f) -> str:
+    """Formula.__repr__ as it was before it had its own stack."""
+    fields = (f"{k}={_recursive_repr(v) if isinstance(v, formula.Formula) else repr(v)}"
+              for k, v in vars(f).items())
+    return f"{type(f).__name__}({', '.join(fields)})"
+
 
 class TestCarriedDepth:
     def test_memo_depths_match_the_models(self):

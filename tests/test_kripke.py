@@ -8,11 +8,13 @@ from ielprove.kripke import (
     KripkeModel,
     check_frame,
     depth,
+    e_violations,
     forces,
     glue,
     model_from_json,
     model_to_dot,
     model_to_json,
+    order_violations,
     satisfies,
     single_world,
 )
@@ -20,6 +22,24 @@ from ielprove.oracle import enumerate_models, random_formula
 from ielprove.sequent import Logic, sequent
 
 a = Var("a")
+
+
+# Hand-made models that break the frame conditions.
+UNROOTED = KripkeModel(frozenset({0, 1}), 0,
+                       frozenset({(0, 0), (1, 1)}), frozenset({(0, 0), (1, 1)}),
+                       {0: frozenset(), 1: frozenset()})
+NOT_PERSISTENT = KripkeModel(frozenset({0, 1}), 0,
+                             frozenset({(0, 0), (0, 1), (1, 1)}),
+                             frozenset({(1, 1), (0, 1)}),
+                             {0: frozenset({"a"}), 1: frozenset()})
+E_OUTSIDE_ORDER = KripkeModel(frozenset({0, 1}), 0,
+                              frozenset({(0, 0), (0, 1), (1, 1)}),
+                              frozenset({(1, 0), (1, 1), (0, 1)}),
+                              {0: frozenset(), 1: frozenset()})
+E_NOT_INHERITED = KripkeModel(frozenset({0, 1}), 0,
+                              frozenset({(0, 0), (0, 1), (1, 1)}),
+                              frozenset({(1, 1)}),
+                              {0: frozenset(), 1: frozenset()})
 
 
 class TestCheckFrame:
@@ -32,32 +52,24 @@ class TestCheckFrame:
         assert check_frame(m, Logic.IEL_MINUS) == []
 
     def test_unrooted(self):
-        m = KripkeModel(frozenset({0, 1}), 0,
-                        frozenset({(0, 0), (1, 1)}), frozenset({(0, 0), (1, 1)}),
-                        {0: frozenset(), 1: frozenset()})
-        assert any(v.kind == "NotRooted" for v in check_frame(m, Logic.IEL))
+        assert any(v.kind == "NotRooted" for v in check_frame(UNROOTED, Logic.IEL))
 
     def test_persistence_violation(self):
-        m = KripkeModel(frozenset({0, 1}), 0,
-                        frozenset({(0, 0), (0, 1), (1, 1)}),
-                        frozenset({(1, 1), (0, 1)}),
-                        {0: frozenset({"a"}), 1: frozenset()})
-        assert any(v.kind == "NotPersistent" for v in check_frame(m, Logic.IEL))
+        assert any(v.kind == "NotPersistent" for v in check_frame(NOT_PERSISTENT, Logic.IEL))
 
     def test_im1_im2(self):
-        # E-edge outside the order.
-        m = KripkeModel(frozenset({0, 1}), 0,
-                        frozenset({(0, 0), (0, 1), (1, 1)}),
-                        frozenset({(1, 0), (1, 1), (0, 1)}),
-                        {0: frozenset(), 1: frozenset()})
-        kinds = {v.kind for v in check_frame(m, Logic.IEL)}
-        assert "Im1" in kinds
-        # E-edge not inherited downwards.
-        m2 = KripkeModel(frozenset({0, 1}), 0,
-                         frozenset({(0, 0), (0, 1), (1, 1)}),
-                         frozenset({(1, 1)}),
-                         {0: frozenset(), 1: frozenset()})
-        assert any(v.kind == "Im2" for v in check_frame(m2, Logic.IEL))
+        assert "Im1" in {v.kind for v in check_frame(E_OUTSIDE_ORDER, Logic.IEL)}
+        assert any(v.kind == "Im2" for v in check_frame(E_NOT_INHERITED, Logic.IEL))
+
+    @pytest.mark.parametrize("m", [UNROOTED, NOT_PERSISTENT, E_OUTSIDE_ORDER, E_NOT_INHERITED,
+                                   single_world([], e_reflexive=False)])
+    def test_two_halves(self, m):
+        for logic in Logic:
+            assert check_frame(m, logic) == order_violations(m) + e_violations(m, logic)
+            assert {v.kind for v in order_violations(m)} <= {
+                "NotRooted", "NotPoset", "NotPersistent"}
+            assert {v.kind for v in e_violations(m, logic)} <= {"Im1", "Im2", "Im3"}
+        assert check_frame(m, Logic.IEL) != []
 
 
 class TestForces:

@@ -14,9 +14,12 @@ from ielprove.cli import main
 from ielprove.formula import parse, render
 from ielprove.kripke import KripkeModel, check_frame, forces, model_to_json
 from ielprove.oracle import (
+    _e_relations,
     _force_masks,
+    _frames,
     _model,
     _orders,
+    _rooted_orders,
     brute_force_invalid,
     enumerate_models,
     random_formulas,
@@ -119,13 +122,57 @@ def _break_im2(e_relations):
     return planted
 
 
-class TestFrameCheck:
-    @pytest.fixture
-    def fresh_orders(self):
-        _orders.cache_clear()
-        yield
-        _orders.cache_clear()
+@pytest.fixture
+def fresh_orders():
+    """Empty frame and order caches, so that patched helpers are called."""
+    _frames.cache_clear()
+    _orders.cache_clear()
+    yield
+    _frames.cache_clear()
+    _orders.cache_clear()
 
+
+def _filtered_e_relations(leq, n, logic):
+    """_e_relations as a filter over every subset of the order's pairs, in
+    the order of their bitmasks over the sorted pairs."""
+    pairs = sorted(leq)
+    bit = {p: 1 << k for k, p in enumerate(pairs)}
+    needs = [(bit[b, c], sum(bit[a, c] for a in range(n) if (a, b) in leq))
+             for b, c in pairs]
+    leaving = [sum(bit[p] for p in pairs if p[0] == w) for w in range(n)]
+    out = []
+    for bits in range(1 << len(pairs)):
+        if any(bits & edge and needed & ~bits for edge, needed in needs):
+            continue
+        if logic is Logic.IEL and not all(bits & edges for edges in leaving):
+            continue
+        out.append(frozenset(p for p in pairs if bits & bit[p]))
+    return out
+
+
+class TestFrames:
+    def test_e_relations_match_the_filter(self):
+        for logic in Logic:
+            for n in range(1, 5):
+                for leq in _rooted_orders(n):
+                    assert _e_relations(leq, n, logic) == _filtered_e_relations(leq, n, logic)
+
+    def test_frames_are_built_once_per_world_count(self, monkeypatch, fresh_orders):
+        calls = []
+
+        def counting(leq, n, logic):
+            calls.append((leq, n, logic))
+            return _e_relations(leq, n, logic)
+
+        monkeypatch.setattr(oracle, "_e_relations", counting)
+        for n in range(1, 4):
+            for k in range(4):
+                for logic in Logic:
+                    _orders(n, k, logic)
+        assert len(calls) == len(set(calls)) == 2 * sum(len(_rooted_orders(n)) for n in (1, 2, 3))
+
+
+class TestFrameCheck:
     def test_planted_e_relation_is_rejected(self, monkeypatch, fresh_orders):
         monkeypatch.setattr(oracle, "_e_relations", _break_im2(oracle._e_relations))
         with pytest.raises(AssertionError, match="Im2"):
