@@ -10,6 +10,10 @@ constructors, parse, formula_from_json, copy and pickle) returns it, so
 equal formulas are one object and compare and hash by identity.  The table
 of live formulas holds weak references only, so a formula is freed once
 nothing else refers to it.
+
+The JSON form of a formula is {"op": "var", "name": N}, {"op": "bot"},
+{"op": "k", "body": B} or {"op": O, "left": L, "right": R} with O a key of
+BINARY_OPS; rules.derivation_json writes it and formula_from_json reads it.
 """
 
 from __future__ import annotations
@@ -212,7 +216,6 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 
 BOT = Bottom()
 BINARY_OPS: dict[str, type] = {"and": And, "or": Or, "imp": Imp}
-_JSON_OP = {Var: "var", Bottom: "bot", K: "k", **{cls: op for op, cls in BINARY_OPS.items()}}
 
 
 def render(f: Formula) -> str:
@@ -317,23 +320,8 @@ def parse(text: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding
+# JSON decoding
 # ---------------------------------------------------------------------------
-
-def formula_to_json(f: Formula) -> dict:
-    root: dict = {}
-    stack = [(f, root)]
-    while stack:
-        g, obj = stack.pop()
-        obj["op"] = _JSON_OP[type(g)]
-        for key, value in vars(g).items():  # name, body, or left and right
-            if isinstance(value, Formula):
-                obj[key] = {}
-                stack.append((value, obj[key]))
-            else:
-                obj[key] = value
-    return root
-
 
 def formula_from_json(obj: object) -> Formula:
     """Decode in two passes: a pre-order walk checks every object, left to

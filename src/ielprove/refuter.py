@@ -7,11 +7,13 @@ place countermodels are built: the search in prover.py emits refutations
 only.  Every refutational rule refutes one premise of a validity rule
 (rules.REFUTATIONS), so this module holds only the refutational names, the
 Glue check (over the rightmost premises of a non-invertible rules.expansion),
-the refutation checker and the model mapping.
+the refutation checker, the model mapping and the JSON forms, whose text is
+rules.derivation_json's with "calculus": "riel" at the root.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from typing import Optional
 
@@ -25,12 +27,11 @@ from .rules import (
     check_derivation,
     derivation_from_json,
     derivation_json,
-    derivation_to_json,
     expansion,
     riel_axiom,
     rule_instances,
 )
-from .sequent import Logic, Sequent, atoms_only, gamma_vars, liel_axiom, sequent_text
+from .sequent import Logic, atoms_only, gamma_vars, liel_axiom, sequent_text
 
 Refutation = Derivation
 
@@ -41,17 +42,6 @@ RIEL_AXIOMS = ("Sat", "eSat", "kSat")
 # Each refutational rule but Glue/eGlue: the validity premise it refutes.
 _PREMISE_OF = {name: key for key, name in REFUTATIONS.items()
                if name not in ("Glue", "eGlue")}
-
-
-# ---------------------------------------------------------------------------
-# Glue
-# ---------------------------------------------------------------------------
-
-def glue_premises(s: Sequent, logic: Logic) -> list[Sequent]:
-    """The full premise family of a Glue/eGlue node on s: the rightmost
-    premise of every instance s is expanded by, when those are the
-    non-invertible ones (ImpR, KR and ImpL); none otherwise."""
-    return [inst.premises[-1] for inst in expansion(s, logic) if inst.rule in NONINVERTIBLE]
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +130,13 @@ def refutation_model(t: Refutation, logic: Logic) -> KripkeModel:
 # JSON forms
 # ---------------------------------------------------------------------------
 
-def refutation_to_json(t: Refutation) -> dict:
-    return {**derivation_to_json(t), "calculus": "riel"}
-
-
 def refutation_json(t: Refutation) -> str:
-    """json.dumps(refutation_to_json(t), sort_keys=True), one text per
-    distinct node (rules.derivation_json)."""
+    """t as JSON text: rules.derivation_json's, with "calculus": "riel" at the root."""
     return derivation_json(t, calculus="riel")
+
+
+def refutation_to_json(t: Refutation) -> dict:
+    return json.loads(refutation_json(t))
 
 
 def refutation_from_json(obj: object) -> Refutation:

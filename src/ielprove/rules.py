@@ -12,7 +12,8 @@ connective to rule derived from the table; rule_instances, the flat tests
 sequent by, all read it.  Proofs and refutations share one tree type, one
 checker skeleton (check_derivation: the subformula property, leaf and node
 shape, the depth bound; a calculus adds an axiom test and a rule test, which
-makes its own principal pass) and one JSON codec.
+makes its own principal pass) and one JSON codec (derivation_json writes
+the text of a certificate, derivation_from_json reads it back).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .formula import (
-    _JSON_OP,
+    BINARY_OPS,
     BOT,
     And,
     Bottom,
@@ -41,7 +42,6 @@ from .sequent import (
     liel_axiom,
     sequent_from_json,
     sequent_text,
-    sequent_to_json,
 )
 
 
@@ -423,22 +423,14 @@ def derivation_text(t: Derivation) -> str:
     return "\n".join(lines)
 
 
-def derivation_to_json(t: Derivation) -> dict:
-    return {
-        "sequent": sequent_to_json(t.sequent),
-        "rule": t.rule,
-        "axiom": t.axiom,
-        "children": [derivation_to_json(c) for c in t.children],
-    }
-
-
-proof_to_json = derivation_to_json
+_JSON_OP = {Var: "var", Bottom: "bot", K: "k", **{cls: op for op, cls in BINARY_OPS.items()}}
 
 
 def derivation_json(t: Derivation, calculus: Optional[str] = None) -> str:
-    """The text json.dumps(derivation_to_json(t), sort_keys=True) gives, with
-    a "calculus" key added at the root when one is named, written without
-    building the dict.
+    """t as JSON text: a node is {"axiom": A, "children": [...], "rule": R,
+    "sequent": S}, plus "calculus" at the root when one is named, in the
+    sequent and formula forms of sequent.py and formula.py.  Keys are sorted,
+    separators are ", " and ": ", and strings are written as json.dumps does.
 
     The text is kept as a list of pieces.  A distinct node's pieces are
     written once; a repeated node copies the run of pieces its first
@@ -521,6 +513,10 @@ def derivation_json(t: Derivation, calculus: Optional[str] = None) -> str:
         kids = node.children
         stack.extend((kids[i], ", " if i else "") for i in range(len(kids) - 1, -1, -1))
     return "".join(pieces)
+
+
+def proof_to_json(t: Derivation) -> dict:
+    return json.loads(derivation_json(t))
 
 
 def derivation_from_json(obj: object, rules: tuple[str, ...], axioms: tuple[str, ...],

@@ -1,4 +1,4 @@
-"""Three-compartment sequents, their axiom tests and their text and JSON forms.
+"""Three-compartment sequents, their axiom tests, text form and JSON decoder.
 
 A sequent <Theta ; Gamma => Delta> has three finite formula sets and an
 E-flag; E-sequents additionally commit their satisfying world to E-reach
@@ -11,7 +11,9 @@ axiom/flat roles swapped between the validity calculus and the refutational
 calculus.  The axioms of the validity calculus are tested here (liel_axiom),
 and they are the sequents no refutational rule applies to.  A flat sequent
 of the validity calculus is one that no rule applies to, so its tests live
-with the rule table (rules.liel_flat, rules.riel_axiom).
+with the rule table (rules.liel_flat, rules.riel_axiom).  The JSON form of a
+sequent is {"delta": [...], "e": E, "gamma": [...], "theta": [...]}, each
+compartment's formulas in their JSON form (formula.py), sorted by text.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .formula import (
     Formula,
     Var,
     formula_from_json,
-    formula_to_json,
     render,
     sorted_formulas,
 )
@@ -99,15 +100,6 @@ def _part(fs: frozenset[Formula]) -> str:
 def sequent_text(s: Sequent) -> str:
     text = f"{_part(s.theta)} ; {_part(s.gamma)} => {_part(s.delta)}"
     return text + " [E]" if s.e_flag else text
-
-
-def sequent_to_json(s: Sequent) -> dict:
-    return {
-        "theta": [formula_to_json(f) for f in sorted_formulas(s.theta)],
-        "gamma": [formula_to_json(f) for f in sorted_formulas(s.gamma)],
-        "delta": [formula_to_json(f) for f in sorted_formulas(s.delta)],
-        "e": s.e_flag,
-    }
 
 
 def sequent_from_json(obj: object) -> Sequent:

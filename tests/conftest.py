@@ -1,12 +1,14 @@
 import random
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import strategies as st
 
-from ielprove.formula import BOT, And, Imp, K, Or, Var, parse
+from ielprove.formula import BOT, And, Bottom, Formula, Imp, K, Or, Var, parse, sorted_formulas
 from ielprove.kripke import KripkeModel
 from ielprove.oracle import random_formula
+from ielprove.rules import Derivation
 from ielprove.sequent import Logic, Sequent
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "paper.txt"
@@ -54,3 +56,30 @@ def random_sequent(rng: random.Random, max_connectives: int = 4,
         return frozenset(random_formula(rng, max_connectives, variables)
                          for _ in range(rng.randint(0, k)))
     return Sequent(some(1), some(2), some(2), rng.random() < 0.4)
+
+
+# The reference dict encoder: the certificate JSON format written plainly,
+# by recursion.  rules.derivation_json must give json.dumps of these dicts
+# with sort_keys=True, byte for byte.
+
+_OPS = {Var: "var", Bottom: "bot", And: "and", Or: "or", Imp: "imp", K: "k"}
+
+
+def formula_dict(f: Formula) -> dict:
+    obj = {"op": _OPS[type(f)]}
+    for key, value in vars(f).items():  # name, body, or left and right
+        obj[key] = formula_dict(value) if isinstance(value, Formula) else value
+    return obj
+
+
+def sequent_dict(s: Sequent) -> dict:
+    return {"theta": [formula_dict(f) for f in sorted_formulas(s.theta)],
+            "gamma": [formula_dict(f) for f in sorted_formulas(s.gamma)],
+            "delta": [formula_dict(f) for f in sorted_formulas(s.delta)],
+            "e": s.e_flag}
+
+
+def derivation_dict(t: Derivation, calculus: Optional[str] = None) -> dict:
+    obj = {"sequent": sequent_dict(t.sequent), "rule": t.rule, "axiom": t.axiom,
+           "children": [derivation_dict(c) for c in t.children]}
+    return obj if calculus is None else {**obj, "calculus": calculus}

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from conftest import derivation_dict
 from ielprove.cli import main
 from ielprove.formula import K, Formula, parse, render
 from ielprove.kripke import model_to_json
@@ -25,8 +26,8 @@ from ielprove.rules import (
     derivation_depth,
     derivation_json,
     derivation_text,
-    derivation_to_json,
     proof_from_json,
+    proof_to_json,
     rule_node,
 )
 from ielprove.sequent import Logic, sequent
@@ -168,9 +169,11 @@ class TestEncoder:
     def test_bytes_equal_json_dumps_of_the_dict(self, certs):
         shared = 0
         for t, is_refutation, _ in certs:
-            assert derivation_json(t) == json.dumps(derivation_to_json(t), sort_keys=True)
+            assert derivation_json(t) == json.dumps(derivation_dict(t), sort_keys=True)
+            assert proof_to_json(t) == derivation_dict(t)
             if is_refutation:
-                assert refutation_json(t) == json.dumps(refutation_to_json(t), sort_keys=True)
+                assert refutation_json(t) == json.dumps(derivation_dict(t, "riel"), sort_keys=True)
+                assert refutation_to_json(t) == derivation_dict(t, "riel")
             shared += distinct(t) < occurrences(t)
         assert shared > 20
 
@@ -184,10 +187,12 @@ class TestEncoder:
                 for logic in Logic:
                     result = prove_or_refute_formula(f, logic)
                     t = result.tree if isinstance(result, Proof) else result
-                    assert derivation_json(t) == json.dumps(derivation_to_json(t), sort_keys=True)
+                    assert derivation_json(t) == json.dumps(derivation_dict(t), sort_keys=True)
+                    assert proof_to_json(t) == derivation_dict(t)
                     if not isinstance(result, Proof):
                         assert refutation_json(t) == json.dumps(
-                            refutation_to_json(t), sort_keys=True)
+                            derivation_dict(t, "riel"), sort_keys=True)
+                        assert refutation_to_json(t) == derivation_dict(t, "riel")
                     kinds.add(isinstance(result, Proof))
                     twins += any(_has_twins(node.sequent) for node in _nodes(t))
         assert kinds == {True, False}
@@ -211,12 +216,12 @@ class TestCliBytes:
                 argv = ("--format", "json", "--logic", logic.value, render(f))
                 out = decide(f, logic)
                 if isinstance(out, Proof):
-                    proof = {"status": "valid", "proof": derivation_to_json(out.tree)}
+                    proof = {"status": "valid", "proof": derivation_dict(out.tree)}
                     decided = refuted = proof
                 else:
                     decided = {"status": "invalid", "model": model_to_json(out.model)}
                     r = prove_or_refute_formula(f, logic)
-                    refuted = {"status": "invalid", "refutation": refutation_to_json(r),
+                    refuted = {"status": "invalid", "refutation": derivation_dict(r, "riel"),
                                "model": model_to_json(extract_model(r, logic))}
                 for command, obj in (("decide", decided), ("refute", refuted)):
                     code = main([command, *argv])
@@ -256,8 +261,8 @@ class TestDeepDerivation:
         assert kinds == ["BadInstantiation"] * self.N + ["BadAxiom", "DepthBound"]
         kinds = [d.kind for d in check_refutation(t, Logic.IEL)]
         assert kinds == ["BadInstantiation"] * self.N + ["BadAxiom", "DepthBound"]
-        leaf = json.dumps(derivation_to_json(self._chain(0)), sort_keys=True)
-        head, tail = json.dumps(derivation_to_json(self._chain(1)), sort_keys=True).split(leaf)
+        leaf = json.dumps(derivation_dict(self._chain(0)), sort_keys=True)
+        head, tail = json.dumps(derivation_dict(self._chain(1)), sort_keys=True).split(leaf)
         assert derivation_json(t) == head * self.N + leaf + tail * self.N
         lines = derivation_text(t).split("\n")
         assert len(lines) == self.N + 1
@@ -268,7 +273,7 @@ class TestDeepDerivation:
         than CPython's json decoder reads: each node is checked on the way
         down and built on the way back, children first."""
         n = 2000
-        leaf = derivation_to_json(self._chain(0))
+        leaf = derivation_dict(self._chain(0))
         obj = leaf
         for _ in range(n):
             obj = {"sequent": leaf["sequent"], "rule": "AndL", "axiom": None, "children": [obj]}

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from conftest import formulas
+from conftest import formula_dict, formulas
 
 from ielprove.formula import (
     BOT,
@@ -15,7 +15,6 @@ from ielprove.formula import (
     Var,
     connective_count,
     formula_from_json,
-    formula_to_json,
     parse,
     render,
     subformulas,
@@ -115,7 +114,7 @@ class TestRender:
     @given(formulas)
     def test_roundtrip(self, f):
         # Formulas compare by text, so compare the trees themselves.
-        assert formula_to_json(parse(render(f))) == formula_to_json(f)
+        assert formula_dict(parse(render(f))) == formula_dict(f)
 
 
 def _internal_nodes(f: Formula) -> int:
@@ -157,7 +156,7 @@ class TestMeasures:
 class TestJson:
     @given(formulas)
     def test_roundtrip(self, f):
-        assert formula_to_json(formula_from_json(formula_to_json(f))) == formula_to_json(f)
+        assert formula_dict(formula_from_json(formula_dict(f))) == formula_dict(f)
 
     def test_rejects_unknown_op(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import weakref
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import formulas
+from conftest import formula_dict, formulas
 from ielprove import formula, rules
 from ielprove.formula import (
     BOT,
@@ -26,7 +26,6 @@ from ielprove.formula import (
     Or,
     Var,
     formula_from_json,
-    formula_to_json,
     parse,
     render,
     subformulas,
@@ -219,7 +218,7 @@ class TestHashConsing:
     def test_equal_formulas_are_one_object(self, f):
         assert parse(render(f)) is f
         assert type(f)(*vars(f).values()) is f
-        assert formula_from_json(formula_to_json(f)) is f
+        assert formula_from_json(formula_dict(f)) is f
         assert pickle.loads(pickle.dumps(f)) is f
         assert copy.deepcopy(f) is f and copy.copy(f) is f
 

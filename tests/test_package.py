@@ -1,8 +1,10 @@
 """The package surface: what a command's import loads, the lazily resolved
-public names, and records that cannot be changed once built but can be
-copied and pickled."""
+public names, the names the benchmark harness imports, and records that
+cannot be changed once built but can be copied and pickled."""
 
+import ast
 import copy
+import importlib
 import json
 import os
 import pickle
@@ -19,6 +21,7 @@ from ielprove.prover import decide, prove_or_refute_formula
 from ielprove.sequent import Logic, Sequent, sequent
 
 SRC = str(Path(ielprove.__file__).resolve().parent.parent)
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 WATCHED = ("dataclasses", "ielprove.oracle")
 
 
@@ -69,6 +72,22 @@ class TestLazyPackage:
         with pytest.raises(AttributeError, match="no_such_name"):
             ielprove.no_such_name  # noqa: B018
         assert not hasattr(ielprove, "cli_main")
+
+
+class TestBenchImports:
+    def test_every_name_the_bench_imports_resolves(self):
+        """Each `from ielprove... import name` in bench/*.py, read with ast
+        and not run, names something its module defines."""
+        imported = [(node.module, alias.name)
+                    for path in sorted(BENCH.glob("*.py"))
+                    for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                    if isinstance(node, ast.ImportFrom) and node.level == 0
+                    and (node.module or "").split(".")[0] == "ielprove"
+                    for alias in node.names]
+        assert {module for module, _ in imported} >= {"ielprove.rules", "ielprove.refuter"}
+        missing = [(module, name) for module, name in imported
+                   if not hasattr(importlib.import_module(module), name)]
+        assert missing == []
 
 
 class TestImmutableRecords:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_sequent
+from conftest import derivation_dict, random_sequent
 from ielprove.formula import BOT, Bottom, Imp, K, Var, parse
 from ielprove.kripke import check_frame, forces, satisfies, single_world
 from ielprove.oracle import enumerate_models, random_formulas
@@ -11,12 +11,10 @@ from ielprove.refuter import (
     Refutation,
     check_refutation,
     extract_model,
-    glue_premises,
     refutation_from_json,
     refutation_model,
-    refutation_to_json,
 )
-from ielprove.rules import Defect
+from ielprove.rules import NONINVERTIBLE, Defect, expansion
 from ielprove.sequent import Logic, Sequent, liel_axiom, sequent, sequent_text
 
 a, b = Var("a"), Var("b")
@@ -103,7 +101,8 @@ class TestCheckRefutation:
 
     def test_glue_premises_must_match_exactly(self):
         s = sequent([], [parse("a -> b")], [Var("c")])
-        premises = glue_premises(s, Logic.IEL)
+        premises = [inst.premises[-1] for inst in expansion(s, Logic.IEL)
+                    if inst.rule in NONINVERTIBLE]
         assert len(premises) == 1
         t = Refutation(s, "Glue", None, (
             Refutation(premises[0], None, "Sat", ()),
@@ -114,9 +113,11 @@ class TestCheckRefutation:
 
 def _glue_node(rule: str, s: Sequent, logic: Logic) -> Refutation:
     """A Glue or eGlue node on s over exactly its Glue premises, as Sat
-    leaves."""
+    leaves: the last premise of each non-invertible instance of s's
+    expansion."""
     return Refutation(s, rule, None, tuple(
-        Refutation(p, None, "Sat", ()) for p in glue_premises(s, logic)))
+        Refutation(inst.premises[-1], None, "Sat", ())
+        for inst in expansion(s, logic) if inst.rule in NONINVERTIBLE))
 
 
 def _shape_allows_glue(s: Sequent) -> bool:
@@ -213,12 +214,12 @@ class TestExtractModel:
 class TestForms:
     def test_json_roundtrip_and_tag(self):
         t = _classical_reflection_refutation()
-        obj = refutation_to_json(t)
+        obj = derivation_dict(t, "riel")
         assert obj["calculus"] == "riel"
         assert refutation_from_json(obj) == t
 
     def test_json_rejects_liel_rule(self):
-        obj = refutation_to_json(_classical_reflection_refutation())
+        obj = derivation_dict(_classical_reflection_refutation(), "riel")
         obj["rule"] = "ImpR"
         with pytest.raises(ValueError):
             refutation_from_json(obj)

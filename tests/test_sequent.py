@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_sequent
+from conftest import random_sequent, sequent_dict
 from ielprove.formula import BOT, K, Var, parse
 from ielprove.rules import liel_flat, riel_axiom
 from ielprove.sequent import (
@@ -11,7 +11,6 @@ from ielprove.sequent import (
     sequent,
     sequent_from_json,
     sequent_text,
-    sequent_to_json,
 )
 
 a, b, c = Var("a"), Var("b"), Var("c")
@@ -105,7 +104,7 @@ class TestForms:
         rng = random.Random(7)
         for _ in range(50):
             s = random_sequent(rng)
-            assert sequent_from_json(sequent_to_json(s)) == s
+            assert sequent_from_json(sequent_dict(s)) == s
 
     def test_json_rejects_bad_flag(self):
         with pytest.raises(ValueError):
