@@ -73,12 +73,17 @@ def _read_json(path: str) -> object:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
+# json.dumps(value, sort_keys=True), with one encoder for the process: dumps
+# builds a new encoder on every call that passes any option.
+_json_text = json.JSONEncoder(sort_keys=True).encode
+
+
 def _emit_json(obj: dict, **encoded: str) -> None:
     """Print obj as json.dumps(obj, sort_keys=True) does, with the fields of
     encoded added in key order; their values are JSON texts already."""
-    fields = {key: json.dumps(value, sort_keys=True) for key, value in obj.items()}
+    fields = {key: _json_text(value) for key, value in obj.items()}
     fields.update(encoded)
-    print("{" + ", ".join(f"{json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "}")
+    print("{" + ", ".join(f"{_json_text(key)}: {fields[key]}" for key in sorted(fields)) + "}")
 
 
 def _verify(f: Formula, outcome: Outcome, logic: Logic) -> None:
@@ -339,12 +344,33 @@ def build_parser() -> argparse.ArgumentParser:
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The parser main uses, built once per process: building it costs more
-    than deciding a small formula, and parsing leaves it unchanged."""
+    than deciding a small formula, and parsing leaves it unchanged.  main
+    also reads the command parsers that build_parser added to it."""
     return build_parser()
 
 
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """What _parser().parse_args(argv) returns, or the help or error it prints.
+
+    The top-level parser's only option is -h, so an argv it accepts starts
+    with a command name, and it hands everything after the name to that
+    command's parser.  Doing that hand-over here skips the top-level
+    parser's own pass over argv.  Any other argv (none, -h, --, an unknown
+    command) goes through the top-level parser."""
+    parser = _parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:  # reported by the top-level parser, as parse_args reports it
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except CliError as exc:

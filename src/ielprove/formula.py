@@ -275,9 +275,14 @@ def parse(text: str) -> Formula:
     """Parse the ASCII syntax: atoms, `false`/`_|_`, prefix `K` and `~`,
     then `&`, then `|`, then right-associative `->`; parentheses allowed.
 
-    One loop over the tokens with an operand stack and an operator stack,
-    on which "lp" marks an open parenthesis, so nesting depth is not bounded
-    by Python's recursion limit."""
+    The rendered text of a live formula is looked up, not parsed: render is
+    injective and parse(render(f)) is f, so the answer is that formula.
+    Any other text goes through one loop over the tokens with an operand
+    stack and an operator stack, on which "lp" marks an open parenthesis,
+    so nesting depth is not bounded by Python's recursion limit."""
+    f = _live_formula(text)
+    if f is not None:
+        return f
     tokens = _tokenize(text)
     if not tokens:
         raise FormulaSyntaxError("empty input", 0)

@@ -369,6 +369,66 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     assert codes == [1] * 5 and len(built) == 1
 
 
+def _echo(args):
+    return args
+
+
+@pytest.fixture(scope="class")
+def echo_parser():
+    """A parser from build_parser whose commands return their Namespace; main
+    uses one built the same way, so main(argv) returns what it parsed."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_cmd_decide", "_cmd_check", "_cmd_crosscheck", "_cmd_batch"):
+            mp.setattr(cli, name, _echo)
+        cli._parser.cache_clear()
+        yield cli.build_parser()
+    cli._parser.cache_clear()
+
+
+def _parsed(parse, argv):
+    """parse(argv)'s Namespace, or its SystemExit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+_COMMANDS = ["decide", "prove", "refute", "check-proof", "check-model",
+             "check-refutation", "crosscheck", "batch"]
+_ARGV_WORDS = _COMMANDS + [
+    "--logic", "iel", "iel-", "--logic=iel-", "--format", "text", "json", "dot",
+    "--file", "--bound", "--random", "--seed", "--corpus", "0", "1", "3", "-1",
+    "K a -> a", "a", "~a", "--", "-h", "--help", "--he", "frob", "--frob", "-x", "",
+]
+_ARGVS = st.one_of(
+    st.lists(st.sampled_from(_ARGV_WORDS), max_size=6),
+    st.tuples(st.sampled_from(_COMMANDS), st.lists(st.sampled_from(_ARGV_WORDS), max_size=6))
+    .map(lambda pair: [pair[0], *pair[1]]),
+)
+
+
+class TestArgvParity:
+    """main parses argv as build_parser().parse_args does: the same Namespace,
+    or the same exit code, help and error text."""
+
+    @pytest.mark.parametrize("argv", [
+        (), ("-h",), ("decide", "-h"), ("frob", "a"), ("decide", "a", "b"),
+        ("decide", "a", "--", "b"), ("decide", "--logic", "s4", "a"),
+        ("crosscheck", "--bound", "0", "a"), ("--", "decide", "a"), ("batch",),
+        ("refute", "--format", "dot", "a", "b", "c"), ("decide", "--", "-a"),
+    ])
+    def test_edge_argv(self, echo_parser, argv):
+        assert _parsed(main, argv) == _parsed(echo_parser.parse_args, argv)
+
+    @given(_ARGVS)
+    @settings(max_examples=300, deadline=None)
+    def test_argv(self, echo_parser, argv):
+        assert _parsed(main, argv) == _parsed(echo_parser.parse_args, argv)
+
+
 def run_process(*argv):
     """Run the CLI in a fresh interpreter, as a user would."""
     return subprocess.run([sys.executable, "-m", "ielprove.cli", *argv],

@@ -3,6 +3,7 @@ from hypothesis import given
 
 from conftest import formula_dict, formulas
 
+from ielprove import formula
 from ielprove.formula import (
     BOT,
     And,
@@ -113,8 +114,35 @@ class TestRender:
 
     @given(formulas)
     def test_roundtrip(self, f):
-        # Formulas compare by text, so compare the trees themselves.
-        assert formula_dict(parse(render(f))) == formula_dict(f)
+        # Formulas compare by text, so compare the trees themselves.  parse
+        # looks up a live formula's own text, so the spaced text is the one
+        # that goes through the token loop.
+        assert formula_dict(parse(f" {render(f)} ")) == formula_dict(f)
+
+
+class TestLiveLookup:
+    @given(formulas)
+    def test_live_text_is_not_tokenized(self, f):
+        def no_tokens(text):
+            raise AssertionError(f"tokenized {text!r}")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formula, "_tokenize", no_tokens)
+            assert parse(render(f)) is f
+
+    @pytest.mark.parametrize("text,rendered", [
+        ("(a)", "a"), ("a->b", "a -> b"), (" a -> b ", "a -> b"),
+    ])
+    def test_other_spellings_are_tokenized(self, monkeypatch, text, rendered):
+        f = parse(rendered)
+        tokenize, tokenized = formula._tokenize, []
+
+        def counting(text):
+            tokenized.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(formula, "_tokenize", counting)
+        assert parse(text) is f and tokenized == [text]
 
 
 def _internal_nodes(f: Formula) -> int:
