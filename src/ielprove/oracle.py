@@ -111,55 +111,14 @@ def _upsets(leq: frozenset[tuple[int, int]], n: int) -> list[frozenset[int]]:
     return out
 
 
-class _Frames(NamedTuple):
-    """A rooted order on n worlds with every frame on it, one per E-relation."""
-    leq: frozenset[tuple[int, int]]
-    e_rels: tuple[frozenset[tuple[int, int]], ...]
-    ups: tuple[frozenset[int], ...]
-    depth: int
-    up: tuple[tuple[int, ...], ...]
-    # e_in[w]: each u that some frame's E reaches from w, with one bit per
-    # frame, set where its E does.
-    e_in: tuple[tuple[tuple[int, int], ...], ...]
-
-
-@lru_cache(maxsize=None)
-def _frames(n: int, logic: Logic) -> tuple[_Frames, ...]:
-    """Every rooted order on n worlds with its frames, in enumeration order.
-
-    Every order, up-set and E-relation is checked once; the checks raise
-    rather than assert, so they hold under python -O."""
-    worlds = frozenset(range(n))
-    out = []
-    for leq in _rooted_orders(n):
-        order = KripkeModel(worlds, 0, leq, frozenset(), {})
-        _require(order_violations(order))
-        ups = _upsets(leq, n)
-        for ws in ups:
-            if any(b not in ws for a, b in leq if a in ws):
-                raise AssertionError(f"oracle up-set {sorted(ws)} is not upward closed")
-        e_rels = _e_relations(leq, n, logic)
-        for e in e_rels:
-            _require(e_violations(KripkeModel(worlds, 0, leq, e, {}), logic))
-        reached: dict[tuple[int, int], list[int]] = {}
-        for i, e in enumerate(e_rels):
-            for pair in e:
-                reached.setdefault(pair, []).append(i)
-        e_in = tuple(tuple((u, sum(1 << i for i in reached[w, u]))
-                           for u in range(n) if (w, u) in reached)
-                     for w in range(n))
-        up = tuple(tuple(sorted(b for a, b in leq if a == w)) for w in range(n))
-        out.append(_Frames(leq, tuple(e_rels), tuple(ups), depth(order), up, e_in))
-    return tuple(out)
-
-
 class _Order(NamedTuple):
     """A rooted order with every frame on it, one per E-relation, and every
     persistent valuation of k variables on each frame.
 
     A mask has one bit per model: bit e * size + i stands for valuation i of
     the frame with E-relation e_rels[e], where valuation i is the i-th pick
-    of itertools.product(ups, repeat=k)."""
+    of itertools.product(ups, repeat=k).  With no variables each frame is
+    one model, and the mask has one bit per frame."""
     leq: frozenset[tuple[int, int]]
     e_rels: tuple[frozenset[tuple[int, int]], ...]
     ups: tuple[frozenset[int], ...]
@@ -200,20 +159,48 @@ def _variable_masks(ups: tuple[frozenset[int], ...], n: int, k: int,
 
 @lru_cache(maxsize=None)
 def _orders(n: int, k: int, logic: Logic) -> tuple[_Order, ...]:
-    """_frames(n, logic), each with the masks of k variables."""
+    """Every rooted order on n worlds with its frames and the masks of k
+    variables, in enumeration order.
+
+    The orders of no variables are the frames: there every order, up-set
+    and E-relation is checked once, and the checks raise rather than
+    assert, so they hold under python -O.  The orders of k variables are
+    derived from them and share their order, frames and up-sets."""
+    if k:
+        out = []
+        for frames in _orders(n, 0, logic):
+            size, count = len(frames.ups) ** k, len(frames.e_rels)
+            # A frame's bit becomes its size models' bits; in binary, so
+            # that it takes time linear in the mask.
+            spread = str.maketrans({"0": "0" * size, "1": "1" * size})
+            e_up = tuple(tuple((u, int(f"{absent:0{count}b}".translate(spread), 2))
+                               for u, absent in pairs)
+                         for pairs in frames.e_up)
+            out.append(frames._replace(
+                e_up=e_up, var_masks=_variable_masks(frames.ups, n, k, count),
+                size=size, full=(1 << size * count) - 1))
+        return tuple(out)
+    worlds = frozenset(range(n))
     out = []
-    for fr in _frames(n, logic):
-        size = len(fr.ups) ** k
-        full = (1 << size * len(fr.e_rels)) - 1
-        # A frame's bit becomes its size models' bits, set where E misses u;
-        # in binary, so that it takes time linear in the mask.
-        missing = str.maketrans({"0": "1" * size, "1": "0" * size})
-        e_up = tuple(
-            tuple((u, int(f"{frames:0{len(fr.e_rels)}b}".translate(missing), 2))
-                  for u, frames in pairs)
-            for pairs in fr.e_in)
-        out.append(_Order(fr.leq, fr.e_rels, fr.ups, fr.depth, fr.up, e_up,
-                          _variable_masks(fr.ups, n, k, len(fr.e_rels)), size, full))
+    for leq in _rooted_orders(n):
+        order = KripkeModel(worlds, 0, leq, frozenset(), {})
+        _require(order_violations(order))
+        ups = _upsets(leq, n)
+        for ws in ups:
+            if any(b not in ws for a, b in leq if a in ws):
+                raise AssertionError(f"oracle up-set {sorted(ws)} is not upward closed")
+        e_rels = _e_relations(leq, n, logic)
+        for e in e_rels:
+            _require(e_violations(KripkeModel(worlds, 0, leq, e, {}), logic))
+        full = (1 << len(e_rels)) - 1
+        reached: dict[tuple[int, int], int] = {}
+        for i, e in enumerate(e_rels):
+            for pair in e:
+                reached[pair] = reached.get(pair, 0) | 1 << i
+        e_up = tuple(tuple((u, full ^ reached[w, u]) for u in range(n) if (w, u) in reached)
+                     for w in range(n))
+        up = tuple(tuple(sorted(b for a, b in leq if a == w)) for w in range(n))
+        out.append(_Order(leq, tuple(e_rels), tuple(ups), depth(order), up, e_up, (), 1, full))
     return tuple(out)
 
 
@@ -226,6 +213,8 @@ def _require(violations: list[Violation]) -> None:
 def _all_orders(k: int, max_worlds: int, logic: Logic) -> Iterator[_Order]:
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
+    if max_worlds > 6:  # _rooted_orders(7) tries 2^30 relations: hours
+        raise ValueError("max_worlds must be at most 6")
     for n in range(1, max_worlds + 1):
         yield from _orders(n, k, logic)
 
@@ -306,12 +295,12 @@ def brute_force_invalid(f: Formula, max_worlds: int, logic: Logic) -> OracleRepo
     is reached, which no model can undercut; models_enumerated counts the
     models of enumerate_models up to and including the one it stopped at.
 
-    The frames of each world count and logic are built and checked once
-    per process, and the masks of each variable count once on top of them;
-    later scans reuse both.  At bound 5 the first call, over one variable,
-    takes 1.4-1.8 s under IEL- and 0.3-0.5 s under IEL, most of it
-    building; a later call over two variables takes about 0.4 s and 0.06 s
-    (2-vCPU VM).
+    The orders of no variables are the frames, built and checked once per
+    world count and logic in a process; the orders of each variable count
+    are derived from them once, and later scans reuse both.  At bound 5
+    the first call, over one variable, takes 1.4-1.8 s under IEL- and
+    0.3-0.5 s under IEL, most of it building; a later call over two
+    variables takes about 0.4 s and 0.06 s (2-vCPU VM).
     """
     names = tuple(sorted(variables(f)))
     first: Optional[tuple[_Order, int]] = None

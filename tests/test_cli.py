@@ -438,6 +438,7 @@ def run_process(*argv):
 class TestExitCodeContract:
     @pytest.mark.parametrize("argv", [
         ("crosscheck", "--bound", "0", "K a -> a"),
+        ("crosscheck", "--bound", "7", "a"),
         ("crosscheck", "--random", "-1"),
         ("decide", "~" * 1000 + "a"),
     ])

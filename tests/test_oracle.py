@@ -16,7 +16,6 @@ from ielprove.kripke import KripkeModel, check_frame, forces, model_to_json
 from ielprove.oracle import (
     _e_relations,
     _force_masks,
-    _frames,
     _model,
     _orders,
     _rooted_orders,
@@ -48,9 +47,16 @@ class TestEnumerate:
         second = list(enumerate_models(frozenset({"a"}), 2, Logic.IEL))
         assert first == second
 
-    def test_bound_validated(self):
-        with pytest.raises(ValueError):
-            next(enumerate_models(frozenset(), 0, Logic.IEL))
+    def test_bound_validated(self, monkeypatch):
+        # Refused before any order is enumerated: _rooted_orders(7) alone
+        # would try 2^30 relations.
+        def refuse(n):
+            raise AssertionError(f"enumerated the orders on {n} worlds")
+
+        monkeypatch.setattr(oracle, "_rooted_orders", refuse)
+        for bound in (0, 7):
+            with pytest.raises(ValueError):
+                next(enumerate_models(frozenset(), bound, Logic.IEL))
 
     def test_valuations_are_persistent(self):
         for m in enumerate_models(frozenset({"a", "b"}), 2, Logic.IEL_MINUS):
@@ -124,11 +130,9 @@ def _break_im2(e_relations):
 
 @pytest.fixture
 def fresh_orders():
-    """Empty frame and order caches, so that patched helpers are called."""
-    _frames.cache_clear()
+    """An empty order cache, so that patched helpers are called."""
     _orders.cache_clear()
     yield
-    _frames.cache_clear()
     _orders.cache_clear()
 
 
@@ -170,6 +174,30 @@ class TestFrames:
                 for logic in Logic:
                     _orders(n, k, logic)
         assert len(calls) == len(set(calls)) == 2 * sum(len(_rooted_orders(n)) for n in (1, 2, 3))
+
+    def test_mask_layout(self):
+        # The orders of k variables are the orders of none, the frames, with
+        # each frame's bit spread over its valuations.
+        for logic in Logic:
+            for n in range(1, 4):
+                frames = _orders(n, 0, logic)
+                for k in range(3):
+                    orders = _orders(n, k, logic)
+                    assert len(orders) == len(frames)
+                    for order, fr in zip(orders, frames):
+                        assert order.leq is fr.leq
+                        assert order.e_rels is fr.e_rels
+                        assert order.ups is fr.ups
+                        assert order.size == len(order.ups) ** k
+                        assert order.full == (1 << order.models) - 1
+                        for w, pairs in enumerate(order.e_up):
+                            assert [u for u, _ in pairs] == [
+                                u for u in range(n) if any((w, u) in e for e in order.e_rels)]
+                            for u, absent in pairs:
+                                assert absent == sum(
+                                    1 << e * order.size + i
+                                    for e, rel in enumerate(order.e_rels) if (w, u) not in rel
+                                    for i in range(order.size))
 
 
 class TestFrameCheck:
