@@ -4,6 +4,11 @@ Subcommands: decide, prove, refute, check-proof, check-model,
 check-refutation, crosscheck and batch.  Exit codes: 0 for valid (or a
 clean check/crosscheck/batch), 1 for invalid (or a failed check), 2 for
 errors.  Certificates are re-validated in-process before being printed.
+
+The grammar is written once, in build_parser.  main reads an argv of the
+plain form (a command name, whole option strings each with its value, and
+positionals) from the command parsers' actions itself, and leaves argparse
+the help, the usage errors and every other form (see _parse_argv).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .formula import Formula, FormulaSyntaxError, parse, render
 from .kripke import check_frame, depth, model_from_json, model_text, model_to_dot, model_to_json
@@ -272,8 +277,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than low."""
+def _int_in_range(low: int, high: Optional[int] = None):
+    """An argparse type: an integer no smaller than low and, if high is
+    given, no larger than high."""
     def convert(text: str) -> int:
         try:
             value = int(text)
@@ -281,6 +287,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return convert
 
@@ -326,9 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("crosscheck", help="compare the prover against the brute-force oracle")
     _add_common(p, dot=False)
-    p.add_argument("--bound", type=_int_at_least(1), default=3,
-                   help="world bound for the oracle (default 3)")
-    p.add_argument("--random", type=_int_at_least(0), metavar="N",
+    # 6 is the oracle's own limit: 7 worlds would mean 2^30 candidate orders.
+    p.add_argument("--bound", type=_int_in_range(1, 6), default=3,
+                   help="world bound for the oracle, at most 6 (default 3)")
+    p.add_argument("--random", type=_int_in_range(0), metavar="N",
                    help="crosscheck N random formulas instead of a given one")
     p.add_argument("--seed", type=int,
                    help="seed for --random (default 0; runs are deterministic)")
@@ -341,32 +350,97 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Scan(NamedTuple):
+    """What _scan reads of one command's parser, read once per process."""
+    fields: dict          # the Namespace parse_args starts from: command, defaults, func
+    options: dict         # option string -> its store action
+    positionals: tuple    # the positional actions, in order
+    required: frozenset   # the actions argv must give
+
+
+def _scan_of(dest: str, name: str, command: argparse.ArgumentParser) -> _Scan:
+    """The _Scan of the parser of the command called name; dest is the
+    top-level parser's field for the command name."""
+    fields = {}  # as parse_args fills them: each action's default, then set_defaults
+    options, positionals = {}, []
+    for action in command._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            fields.setdefault(action.dest, action.default)
+        if isinstance(action, argparse._StoreAction):
+            if action.option_strings:
+                options.update(dict.fromkeys(action.option_strings, action))
+            else:
+                positionals.append(action)
+    for key, value in command._defaults.items():
+        fields.setdefault(key, value)
+    required = frozenset(action for action in command._actions if action.required)
+    return _Scan({dest: name, **fields}, options, tuple(positionals), required)
+
+
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The parser main uses, built once per process: building it costs more
-    than deciding a small formula, and parsing leaves it unchanged.  main
-    also reads the command parsers that build_parser added to it."""
-    return build_parser()
+    than deciding a small formula, and parsing leaves it unchanged.  Its
+    scans attribute maps each command name to the _Scan of its parser, so
+    the tables share this one cache."""
+    parser = build_parser()
+    (commands,) = (action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    parser.scans = {name: _scan_of(commands.dest, name, command)
+                    for name, command in commands.choices.items()}
+    return parser
+
+
+def _scan(scan: _Scan, argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace parse_args returns for argv, if argv has the plain form;
+    None for any other argv, including one that parse_args rejects.
+
+    In the plain form, each word after the command name is either one of
+    the command's option strings, followed by its value, or the next
+    positional; no value or positional starts with "-".  Each value goes
+    through its action's type and choices, as parse_args does, and the last
+    occurrence of an option wins."""
+    fields = dict(scan.fields)
+    given = set()
+    positionals = iter(scan.positionals)
+    words = iter(argv)
+    next(words)  # the command name
+    for word in words:
+        if word.startswith("-"):
+            action = scan.options.get(word)
+            word = next(words, "-")  # a missing value reads as a dash word
+        else:
+            action = next(positionals, None)
+        if action is None or word.startswith("-"):
+            return None
+        try:
+            value = word if action.type is None else action.type(word)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        fields[action.dest] = value
+        given.add(action)
+    if not scan.required <= given:
+        return None
+    args = argparse.Namespace()
+    vars(args).update(fields)  # Namespace(**fields) sets them one at a time, at twice the cost
+    return args
 
 
 def _parse_argv(argv: list[str]) -> argparse.Namespace:
     """What _parser().parse_args(argv) returns, or the help or error it prints.
 
-    The top-level parser's only option is -h, so an argv it accepts starts
-    with a command name, and it hands everything after the name to that
-    command's parser.  Doing that hand-over here skips the top-level
-    parser's own pass over argv.  Any other argv (none, -h, --, an unknown
-    command) goes through the top-level parser."""
+    An argv in the plain form that _scan reads (a command name, then its
+    whole option strings with their values, and its positionals) gives a
+    Namespace built from the command parser's own actions, without
+    argparse's pass over argv.  Every other argv (none, -h, --, --logic=iel,
+    an abbreviation, a bad value, a missing or extra argument) goes to
+    _parser().parse_args, which prints the help or the usage error."""
     parser = _parser()
-    commands = next(action.choices for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:  # reported by the top-level parser, as parse_args reports it
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    scan = parser.scans.get(argv[0]) if argv else None
+    args = None if scan is None else _scan(scan, argv)
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[list[str]] = None) -> int:

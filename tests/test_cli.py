@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import re
@@ -273,6 +275,24 @@ class TestCrosscheck:
     def test_one_formula_source(self, capsys, argv, error):
         assert run(capsys, "crosscheck", *argv) == (2, "", f"error: {error}\n")
 
+    @pytest.mark.parametrize("argv, error", [
+        (("--bound", "0", "a"), "must be at least 1, got 0"),
+        (("--bound", "7", "a"), "must be at most 6, got 7"),
+        (("--bound", "7", "--random", "3"), "must be at most 6, got 7"),
+    ])
+    def test_bound_out_of_range_is_a_usage_error(self, capsys, monkeypatch, argv, error):
+        def refuse(f, logic):
+            raise AssertionError("a formula was decided")
+
+        monkeypatch.setattr(cli, "decide", refuse)
+        monkeypatch.setattr(prover, "decide", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["crosscheck", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: ielprove crosscheck ")
+        assert captured.err.splitlines()[-1] == f"ielprove crosscheck: error: argument --bound: {error}"
+
 
 class TestBatch:
     def test_shipped_corpus(self, capsys):
@@ -409,6 +429,30 @@ _ARGVS = st.one_of(
     .map(lambda pair: [pair[0], *pair[1]]),
 )
 
+# Each command's option strings, with their actions, and words for values
+# and positionals.
+_OPTIONS = {name: {option: action for action in command._actions if action.nargs != 0
+                   for option in action.option_strings}
+            for name, command in cli.build_parser()._actions[1].choices.items()}
+_VALUES = st.sampled_from(["iel", "iel-", "text", "json", "dot", "s4", "", "0", "1", " 3", "1_0",
+                           "\u0663", "6", "7", "K a -> a", "(a | b) -> K (a | b)", "a b"])
+
+
+@st.composite
+def _plain_argvs(draw):
+    """A command name, then options with values and 0-2 positionals (mostly
+    one) in any order; no word after the name but an option string starts
+    with "-".  An option with choices mostly takes one of them."""
+    name = draw(st.sampled_from(_COMMANDS))
+    options = _OPTIONS[name]
+    units = []
+    for option in draw(st.lists(st.sampled_from(sorted(options)), max_size=5)):
+        choices = options[option].choices
+        values = _VALUES if choices is None else st.sampled_from(list(choices)) | _VALUES
+        units.append([option, draw(values)])
+    units += [[draw(_VALUES)] for _ in range(draw(st.sampled_from([1, 1, 0, 2])))]
+    return [name, *itertools.chain.from_iterable(draw(st.permutations(units)))]
+
 
 class TestArgvParity:
     """main parses argv as build_parser().parse_args does: the same Namespace,
@@ -427,6 +471,62 @@ class TestArgvParity:
     @settings(max_examples=300, deadline=None)
     def test_argv(self, echo_parser, argv):
         assert _parsed(main, argv) == _parsed(echo_parser.parse_args, argv)
+
+    @given(_plain_argvs())
+    @settings(max_examples=300, deadline=None)
+    def test_plain_argv(self, echo_parser, argv):
+        """An argv of the plain form gives parse_args's Namespace without a
+        call to it when parse_args accepts the argv, and parse_args's error
+        when it does not."""
+        expected = _parsed(echo_parser.parse_args, argv)
+        parser, calls = cli._parser(), []
+
+        def counted(argv):
+            calls.append(argv)
+            return argparse.ArgumentParser.parse_args(parser, argv)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parser, "parse_args", counted)
+            assert _parsed(main, argv) == expected
+        assert len(calls) == (0 if isinstance(expected[0], argparse.Namespace) else 1)
+
+
+@pytest.mark.parametrize("logic", ["iel", "iel-"])
+@pytest.mark.parametrize("command", [["decide"], ["refute"], ["crosscheck", "--bound", "3"]])
+def test_bench_argv_is_scanned(capsys, monkeypatch, command, logic):
+    """The benchmark's argv shapes never reach argparse's parse."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed an argv of the plain form")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for text in ("K a -> a", "K(a|b) -> (K a | K b)", "a -> a"):
+        code, out, err = run(capsys, *command, "--format", "json", "--logic", logic, text)
+        assert code in (0, 1) and err == "" and json.loads(out)
+
+
+def test_command_parsers_hold_only_what_the_scan_reads():
+    """cli._scan reads store actions of one value each, and at most one
+    positional.  Any other kind of action (store_true, append, a const,
+    nargs "*" or a count, a mutually exclusive group) it would read wrongly,
+    so a command that adds one fails here first.  A positional's nargs "?"
+    is matched as parse_args matches it only when it is the sole positional,
+    and a string default that was not given is taken as it is: parse_args
+    passes it through type, and for a positional through choices."""
+    parser = cli.build_parser()
+    assert [type(a) for a in parser._actions] == [argparse._HelpAction,
+                                                  argparse._SubParsersAction]
+    assert not parser._defaults
+    for name, command in parser._actions[1].choices.items():
+        assert command.prefix_chars == "-" and command.fromfile_prefix_chars is None, name
+        assert not command._mutually_exclusive_groups, name
+        actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        for action in actions:
+            assert type(action) is argparse._StoreAction, (name, action)
+            assert action.nargs in (None, "?") and action.const is None, (name, action)
+            if isinstance(action.default, str):
+                assert action.type is None, (name, action)
+                assert action.option_strings or action.choices is None, (name, action)
+        assert sum(not a.option_strings for a in actions) <= 1, name
 
 
 def run_process(*argv):
