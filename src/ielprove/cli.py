@@ -85,10 +85,18 @@ _json_text = json.JSONEncoder(sort_keys=True).encode
 
 def _emit_json(obj: dict, **encoded: str) -> None:
     """Print obj as json.dumps(obj, sort_keys=True) does, with the fields of
-    encoded added in key order; their values are JSON texts already."""
+    encoded added in key order; their values are JSON texts already, and
+    one join copies them once."""
+    if not encoded:
+        print(_json_text(obj))
+        return
     fields = {key: _json_text(value) for key, value in obj.items()}
     fields.update(encoded)
-    print("{" + ", ".join(f"{_json_text(key)}: {fields[key]}" for key in sorted(fields)) + "}")
+    pieces = []
+    for key in sorted(fields):
+        pieces += (", " if pieces else "{", _json_text(key), ": ", fields[key])
+    pieces.append("}")
+    print("".join(pieces))
 
 
 def _verify(f: Formula, outcome: Outcome, logic: Logic) -> None:

@@ -10,13 +10,16 @@ rules.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .formula import And, Bottom, Formula, Imp, K, Or, Var, connective_count, subformulas
+from .formula import And, Bottom, Formula, Imp, K, Or, Var, subformulas
 from .sequent import Logic, Sequent
 
 
 Pair = tuple[int, int]
+
+_size = attrgetter("_size")  # connective_count, without a Python frame per formula
 
 
 class KripkeModel(NamedTuple):
@@ -103,19 +106,20 @@ def _forcing(m: KripkeModel, formulas: Iterable[Formula]) -> dict[Formula, froze
     computed children-first, assuming m passes check_frame for the logic in
     use."""
     out: dict[Formula, frozenset[int]] = {}
-    for g in sorted(frozenset().union(*map(subformulas, formulas)), key=connective_count):
-        if isinstance(g, Var):
+    for g in sorted(frozenset().union(*map(subformulas, formulas)), key=_size):
+        cls = type(g)
+        if cls is Var:
             ws = frozenset(w for w in m.worlds if g.name in m.valuation.get(w, frozenset()))
-        elif isinstance(g, Bottom):
+        elif cls is Bottom:
             ws = frozenset()
-        elif isinstance(g, And):
+        elif cls is And:
             ws = out[g.left] & out[g.right]
-        elif isinstance(g, Or):
+        elif cls is Or:
             ws = out[g.left] | out[g.right]
-        elif isinstance(g, Imp):
+        elif cls is Imp:
             bad = out[g.left] - out[g.right]
             ws = m.worlds - {a for a, b in m.leq if b in bad}
-        elif isinstance(g, K):
+        elif cls is K:
             body = out[g.body]
             ws = m.worlds - {a for a, b in m.e_rel if b not in body}
         else:

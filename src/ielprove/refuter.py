@@ -28,6 +28,7 @@ from .rules import (
     derivation_from_json,
     derivation_json,
     expansion,
+    has_instance,
     riel_axiom,
     rule_instances,
 )
@@ -79,7 +80,7 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
             return Defect("ProvisoViolation",
                           f"KL2 needs an atomic third compartment: {sequent_text(s)}"), True
         premise_of, i = _PREMISE_OF[rule]
-        if any((inst.premises[i],) == got for inst in rule_instances(premise_of, s, logic)):
+        if has_instance(premise_of, s, logic, got, i):
             return None, True
         return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}"), True
 

@@ -7,13 +7,15 @@ refutational rule is one premise of a validity rule, and REFUTATIONS names
 it.  The calculus for IEL- is the same rule set minus the left K rule on
 plain sequents.  One pass over a sequent (principals) finds the principals
 of every rule that fires on it, through a map from compartment and
-connective to rule derived from the table; rule_instances, the flat tests
-(liel_flat, riel_axiom) and expansion, the instances the search decides a
-sequent by, all read it.  Proofs and refutations share one tree type, one
-checker skeleton (check_derivation: the subformula property, leaf and node
-shape, the depth bound; a calculus adds an axiom test and a rule test, which
-makes its own principal pass) and one JSON codec (derivation_json writes
-the text of a certificate, derivation_from_json reads it back).
+connective to rule derived from the table; the flat tests (liel_flat,
+riel_axiom) and expansion, the instances the search decides a sequent by,
+read it.  What asks about one rule (rule_instances, and has_instance, the
+checkers' test of a rule node) reads that rule's own principals through the
+same map.  Proofs and refutations share one tree type, one checker skeleton
+(check_derivation: the subformula property, leaf and node shape, the depth
+bound; a calculus adds an axiom test and a rule test, which builds the
+node's own rule's instances) and one JSON codec (derivation_json writes the
+text of a certificate, derivation_from_json reads it back).
 """
 
 from __future__ import annotations
@@ -252,15 +254,40 @@ def _instance(s: Sequent, rule: str, f: Formula) -> Instantiation:
     return Instantiation(rule, premises)
 
 
+def _own_principals(rule: str, s: Sequent, logic: Logic) -> list[Formula]:
+    """The principals of one rule in s, unsorted: the formulas of its
+    connective in its compartment, if _DISPATCH gives that connective there
+    to it; none for a rule that does not fire on s, or an unknown name."""
+    entry = RULE_TABLE.get(rule)
+    if entry is None:
+        return []
+    where, cls, _ = entry
+    if _DISPATCH[s.e_flag, logic][where == "delta"].get(cls) != rule:
+        return []
+    return [f for f in getattr(s, where) if type(f) is cls]
+
+
 def rule_instances(rule: str, s: Sequent, logic: Logic) -> Iterator[Instantiation]:
     """The instantiations of one validity rule on s, lazily, in canonical
     order; a rule that does not fire on s, or an unknown name, has none."""
-    return instances(rule, s, principals(s, logic))
+    return (_instance(s, rule, f) for f in sorted(_own_principals(rule, s, logic), key=by_text))
 
 
-def instances(rule: str, s: Sequent, found: dict[str, list[Formula]]) -> Iterator[Instantiation]:
-    """rule_instances(rule, s, logic), given found = principals(s, logic)."""
-    return (_instance(s, rule, f) for f in found.get(rule, ()))
+def has_instance(rule: str, s: Sequent, logic: Logic, got: tuple[Sequent, ...],
+                 index: Optional[int] = None) -> bool:
+    """Whether some instance of rule on s has got as its premises or, given
+    index, as the 1-tuple of its premise index.  Only rule's own instances
+    are built, in any order, up to the first that fits.  Every builder drops
+    its principal from its compartment in the first premise, so a principal
+    still there in got's first sequent is skipped unbuilt."""
+    fs = _own_principals(rule, s, logic)
+    kept = getattr(got[0], RULE_TABLE[rule][0]) if fs and got and index in (None, 0) else ()
+    for f in fs:
+        if f not in kept:
+            premises = _instance(s, rule, f).premises
+            if (premises if index is None else (premises[index],)) == got:
+                return True
+    return False
 
 
 def expansion(s: Sequent, logic: Logic) -> tuple[Instantiation, ...]:
@@ -391,13 +418,12 @@ def check_proof(t: Derivation, logic: Logic) -> list[Defect]:
 
     def rule_defect(node: Derivation) -> tuple[Optional[Defect], bool]:
         s = node.sequent
-        found = principals(s, logic)
-        if liel_axiom(s) is not None or not found:
-            return Defect("RuleOnTerminal", f"{node.rule} on terminal {sequent_text(s)}"), False
-        got = tuple(c.sequent for c in node.children)
-        if any(inst.premises == got for inst in instances(node.rule, s, found)):
-            return None, True
-        return Defect("BadInstantiation", f"{node.rule} on {sequent_text(s)}"), True
+        if liel_axiom(s) is None:
+            if has_instance(node.rule, s, logic, tuple(c.sequent for c in node.children)):
+                return None, True
+            if principals(s, logic):
+                return Defect("BadInstantiation", f"{node.rule} on {sequent_text(s)}"), True
+        return Defect("RuleOnTerminal", f"{node.rule} on terminal {sequent_text(s)}"), False
 
     return check_derivation(t, _axiom_fits, rule_defect)
 

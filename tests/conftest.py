@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
@@ -8,8 +9,20 @@ from hypothesis import strategies as st
 from ielprove.formula import BOT, And, Bottom, Formula, Imp, K, Or, Var, parse, sorted_formulas
 from ielprove.kripke import KripkeModel
 from ielprove.oracle import random_formula
-from ielprove.rules import Derivation
-from ielprove.sequent import Logic, Sequent
+from ielprove.refuter import _PREMISE_OF, RIEL_RULES
+from ielprove.rules import (
+    INVERTIBLE,
+    NONINVERTIBLE,
+    RULE_TABLE,
+    Defect,
+    Derivation,
+    _axiom_fits,
+    check_derivation,
+    expansion,
+    principals,
+    riel_axiom,
+)
+from ielprove.sequent import Logic, Sequent, atoms_only, liel_axiom, sequent, sequent_text
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "paper.txt"
 
@@ -22,6 +35,25 @@ formulas = st.recursive(
         st.builds(K, sub),
     ),
     max_leaves=14,
+)
+
+sequents = st.builds(
+    sequent,
+    st.frozensets(formulas, max_size=2),
+    st.frozensets(formulas, max_size=3),
+    st.frozensets(formulas, max_size=3),
+    st.booleans(),
+)
+
+# Sequents of atoms, falsum and K-formulas, the shapes flat sequents hold,
+# so that many drawn sequents are flat.
+_atoms_and_ks = st.one_of(st.sampled_from([Var("a"), Var("b"), BOT]), st.builds(K, formulas))
+near_flat_sequents = st.builds(
+    sequent,
+    st.frozensets(formulas, max_size=2),
+    st.frozensets(_atoms_and_ks, max_size=3),
+    st.frozensets(_atoms_and_ks, max_size=2),
+    st.booleans(),
 )
 
 
@@ -83,3 +115,58 @@ def derivation_dict(t: Derivation, calculus: Optional[str] = None) -> dict:
     obj = {"sequent": sequent_dict(t.sequent), "rule": t.rule, "axiom": t.axiom,
            "children": [derivation_dict(c) for c in t.children]}
     return obj if calculus is None else {**obj, "calculus": calculus}
+
+
+# The reference rule tests: each rule node's rule checked in two steps, a
+# whole principal pass over its sequent, then every instance of the node's
+# rule on that pass's principals, in canonical order.  rules.check_proof and
+# refuter.check_refutation must give the same defect lists.
+
+def _reference_premises(rule: str, s: Sequent, logic: Logic) -> list:
+    return [RULE_TABLE[rule][2](s, f) for f in principals(s, logic).get(rule, ())]
+
+
+def reference_check_proof(t: Derivation, logic: Logic) -> list:
+    def rule_defect(node):
+        s = node.sequent
+        if liel_axiom(s) is not None or not principals(s, logic):
+            return Defect("RuleOnTerminal", f"{node.rule} on terminal {sequent_text(s)}"), False
+        got = tuple(c.sequent for c in node.children)
+        if got in _reference_premises(node.rule, s, logic):
+            return None, True
+        return Defect("BadInstantiation", f"{node.rule} on {sequent_text(s)}"), True
+
+    return check_derivation(t, _axiom_fits, rule_defect)
+
+
+def reference_check_refutation(t: Derivation, logic: Logic) -> list:
+    def rule_defect(node):
+        s, rule = node.sequent, node.rule
+        if rule not in RIEL_RULES:
+            return Defect("BadRule", repr(rule)), False
+        if logic is Logic.IEL_MINUS and rule in ("KL1", "KL2"):
+            return Defect("BadRule", f"{rule} is not available under IEL-"), False
+        if liel_axiom(s) is not None:
+            return Defect("ProvisoViolation", f"{rule} fired on {sequent_text(s)}"), False
+        got = tuple(c.sequent for c in node.children)
+        if rule in ("Glue", "eGlue"):
+            insts = expansion(s, logic)
+            expected = [inst.premises[-1] for inst in insts if inst.rule in NONINVERTIBLE]
+            if (rule == "Glue") == s.e_flag or not expected and any(
+                    inst.rule in INVERTIBLE for inst in insts):
+                return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}"), True
+            if not expected:
+                return Defect("EmptyGlue", sequent_text(s)), True
+            if Counter(got) != Counter(expected):
+                return Defect("BadInstantiation",
+                              f"{rule} premises do not match on {sequent_text(s)}"), True
+            return None, True
+        if rule == "KL2" and not atoms_only(s.delta):
+            return Defect("ProvisoViolation",
+                          f"KL2 needs an atomic third compartment: {sequent_text(s)}"), True
+        premise_of, i = _PREMISE_OF[rule]
+        if got in [(premises[i],) for premises in _reference_premises(premise_of, s, logic)]:
+            return None, True
+        return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}"), True
+
+    return check_derivation(t, lambda s, name: riel_axiom(s, logic) == name, rule_defect)

@@ -4,18 +4,20 @@ distinct node once per call; these tests pin that the results are those of
 the expanded tree, and that deep derivations need no recursion."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import derivation_dict
-from ielprove.cli import main
+from ielprove.cli import _crosscheck_report, main
 from ielprove.formula import K, Formula, parse, render
-from ielprove.kripke import model_to_json
+from ielprove.kripke import check_frame, model_from_json, model_to_json
 from ielprove.oracle import random_formulas
 from ielprove.prover import Proof, decide, prove_or_refute_formula
 from ielprove.refuter import (
     check_refutation,
     extract_model,
+    refutation_from_json,
     refutation_json,
     refutation_to_json,
 )
@@ -206,28 +208,85 @@ class TestEncoder:
             assert check(t, logic) == check(copy, logic) == []
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# The refute-families bench workload's de-bruijn n=1 formula, written out
+# with atoms p0-p2: its proof is about 680 KB of JSON.
+DE_BRUIJN_1 = (
+    "(((((p0) -> (p1)) & ((p1) -> (p0))) -> ((p0) & (p1) & (p2)))"
+    " & ((((p1) -> (p2)) & ((p2) -> (p1))) -> ((p0) & (p1) & (p2)))"
+    " & ((((p2) -> (p0)) & ((p0) -> (p2))) -> ((p0) & (p1) & (p2))))"
+    " -> ((p0) & (p1) & (p2))")
+
+
 class TestCliBytes:
-    """decide and refute print json.dumps(obj, sort_keys=True) of the dict
-    forms of their certificates, byte for byte."""
+    """Every --format json answer is json.dumps(obj, sort_keys=True) of its
+    dict form, plus a newline, byte for byte; the certificates in it are
+    the dict forms of conftest's reference encoder."""
+
+    def _expect(self, capsys, argv, obj, code):
+        assert main(argv) == code, argv
+        assert capsys.readouterr().out == json.dumps(obj, sort_keys=True) + "\n", argv
 
     def test_decide_and_refute_json(self, capsys):
-        for f in FORMULAS:
+        """decide, prove and refute, on every formula under both logics."""
+        for f in [*FORMULAS, parse(DE_BRUIJN_1), parse(k_chain(6))]:
             for logic in Logic:
                 argv = ("--format", "json", "--logic", logic.value, render(f))
                 out = decide(f, logic)
                 if isinstance(out, Proof):
                     proof = {"status": "valid", "proof": derivation_dict(out.tree)}
-                    decided = refuted = proof
+                    decided = proved = refuted = proof
                 else:
                     decided = {"status": "invalid", "model": model_to_json(out.model)}
+                    proved = {"status": "invalid"}
                     r = prove_or_refute_formula(f, logic)
                     refuted = {"status": "invalid", "refutation": derivation_dict(r, "riel"),
                                "model": model_to_json(extract_model(r, logic))}
-                for command, obj in (("decide", decided), ("refute", refuted)):
-                    code = main([command, *argv])
-                    assert code == (0 if obj["status"] == "valid" else 1)
-                    assert capsys.readouterr().out == json.dumps(obj, sort_keys=True) + "\n", (
-                        command, render(f))
+                for command, obj in (("decide", decided), ("prove", proved),
+                                     ("refute", refuted)):
+                    self._expect(capsys, [command, *argv], obj,
+                                 0 if obj["status"] == "valid" else 1)
+
+    def test_check_commands_json(self, capsys, tmp_path):
+        """A certificate that checks and one that does not, per command."""
+        f = parse("K a -> a")
+        proof = decide(parse("K(a -> b) -> (K a -> K b)"), Logic.IEL).tree
+        refutation = prove_or_refute_formula(f, Logic.IEL)
+        model = decide(f, Logic.IEL).model
+        files = {
+            "check-proof": [derivation_dict(proof),
+                            json.loads((GOLDEN / "nonsubformula-proof.json").read_text())],
+            "check-refutation": [derivation_dict(refutation, "riel"), json.loads(
+                (GOLDEN / "nonsubformula-refutation.json").read_text())],
+            "check-model": [model_to_json(model), {**model_to_json(model), "e": []}],
+        }
+        decoders = {"check-proof": (proof_from_json, check_proof),
+                    "check-refutation": (refutation_from_json, check_refutation),
+                    "check-model": (model_from_json, check_frame)}
+        seen = set()
+        for command, certificates in files.items():
+            decode, check = decoders[command]
+            for i, certificate in enumerate(certificates):
+                path = tmp_path / f"{command}-{i}.json"
+                path.write_text(json.dumps(certificate))
+                defects = check(decode(certificate), Logic.IEL)
+                seen.add(not defects)
+                self._expect(capsys, [command, "--format", "json", str(path)],
+                             {"ok": not defects, "defects": [str(d) for d in defects]},
+                             0 if not defects else 1)
+        assert seen == {True, False}
+
+    def test_crosscheck_json(self, capsys):
+        for logic in Logic:
+            for f in (parse("K a -> a"), parse("a -> K a"), parse("K a -> ~~a")):
+                report = _crosscheck_report(f, logic, 2)
+                self._expect(capsys, ["crosscheck", "--format", "json", "--logic", logic.value,
+                                      "--bound", "2", render(f)],
+                             {"consistent": report["consistent"], "reports": [report]}, 0)
+        reports = [_crosscheck_report(f, Logic.IEL, 3) for f in random_formulas(5, seed=1)]
+        self._expect(capsys, ["crosscheck", "--format", "json", "--random", "5", "--seed", "1"],
+                     {"consistent": True, "reports": reports}, 0)
 
 
 class TestDeepDerivation:

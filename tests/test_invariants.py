@@ -15,7 +15,7 @@ import weakref
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import formula_dict, formulas
+from conftest import formula_dict, formulas, near_flat_sequents, sequents
 from ielprove import formula, rules
 from ielprove.formula import (
     BOT,
@@ -62,15 +62,6 @@ def _recomputed_size(s: Sequent) -> int:
     return sum(_count(f) for part in (s.theta, s.gamma, s.delta) for f in part)
 
 
-sequents = st.builds(
-    sequent,
-    st.frozensets(formulas, max_size=2),
-    st.frozensets(formulas, max_size=3),
-    st.frozensets(formulas, max_size=3),
-    st.booleans(),
-)
-
-
 class TestSequentSize:
     @given(sequents)
     def test_size_is_the_connective_sum(self, s):
@@ -105,18 +96,6 @@ def _reference_expansion(s: Sequent, logic: Logic) -> list:
             return [inst]
     insts = [inst for rule in NONINVERTIBLE for inst in rule_instances(rule, s, logic)]
     return insts or list(rule_instances("KL", s, logic))[:1]
-
-
-# Sequents of atoms, falsum and K-formulas, the shapes flat sequents hold,
-# so that many drawn sequents are flat.
-_atoms_and_ks = st.one_of(st.sampled_from([Var("a"), Var("b"), BOT]), st.builds(K, formulas))
-near_flat_sequents = st.builds(
-    sequent,
-    st.frozensets(formulas, max_size=2),
-    st.frozensets(_atoms_and_ks, max_size=3),
-    st.frozensets(_atoms_and_ks, max_size=2),
-    st.booleans(),
-)
 
 
 def _two_pass_riel_axiom(s: Sequent, logic: Logic):

@@ -1,12 +1,27 @@
+import json
 import random
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from conftest import random_sequent
-from ielprove.formula import BOT, K, Var, parse
+from conftest import (
+    formulas,
+    near_flat_sequents,
+    random_sequent,
+    reference_check_proof,
+    reference_check_refutation,
+    sequents,
+)
+from ielprove.formula import BOT, K, Var, parse, render, sorted_formulas
 from ielprove.kripke import satisfies
-from ielprove.oracle import enumerate_models
+from ielprove.oracle import enumerate_models, random_formulas
+from ielprove.prover import Proof, prove_or_refute_formula
+from ielprove.refuter import RIEL_RULES, check_refutation, refutation_from_json
 from ielprove.rules import (
+    REFUTATIONS,
+    RULE_TABLE,
     Derivation,
     axiom_leaf,
     RULES,
@@ -178,3 +193,149 @@ class TestCheckProof:
         obj["rule"] = "Cut"
         with pytest.raises(ValueError):
             proof_from_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# The rule tests against the two-step reference (conftest)
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Every rule name of either calculus, and one of neither.
+NAMES = sorted({*RULES, *RIEL_RULES, "Cut"})
+
+
+@lru_cache(maxsize=1)
+def golden_certificates() -> tuple:
+    """The proofs and refutations of tests/golden: certificates.json's
+    formulas and the tamper sweep's, under both logics, and the two
+    certificates whose leaves leave the root's subformulas."""
+    from test_tamper import FORMULAS
+
+    texts = [render(f) for f in random_formulas(80, seed=31337)] + FORMULAS
+    out = [prove_or_refute_formula(parse(text), logic) for text in texts for logic in Logic]
+    out = [t.tree if isinstance(t, Proof) else t for t in out]
+    for name, decode in (("proof", proof_from_json), ("refutation", refutation_from_json)):
+        out.append(decode(json.loads((GOLDEN / f"nonsubformula-{name}.json").read_text())))
+    return tuple(out)
+
+
+def _preorder(t: Derivation) -> list:
+    nodes, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(node.children))
+    return nodes
+
+
+def _replaced(t: Derivation, old: Derivation, new: Derivation) -> Derivation:
+    """t with every occurrence of the node object old replaced by new."""
+    if t is old:
+        return new
+    return t._replace(children=tuple(_replaced(c, old, new) for c in t.children))
+
+
+def _same_defects(t: Derivation) -> None:
+    for logic in Logic:
+        assert check_proof(t, logic) == reference_check_proof(t, logic)
+        assert check_refutation(t, logic) == reference_check_refutation(t, logic)
+
+
+def _principal(cls: type):
+    return st.builds(K, formulas) if cls is K else st.builds(cls, formulas, formulas)
+
+
+@st.composite
+def rule_nodes(draw) -> Derivation:
+    """A node over Id leaves: a drawn sequent, often given a principal of a
+    drawn validity rule and that rule's E-flag; as children, that rule's
+    premises on one of its formulas, whether or not the rule fires on the
+    sequent, or one of those premises, or other sequents; and as its name,
+    the rule's own name for those children or any name."""
+    built_by = draw(st.sampled_from(RULES))
+    where, cls, build = RULE_TABLE[built_by]
+    s = draw(st.one_of(sequents, near_flat_sequents))
+    if draw(st.integers(0, 3)):
+        s = s._replace(**{where: getattr(s, where) | {draw(_principal(cls))}},
+                       e_flag=built_by.startswith("e") if draw(st.integers(0, 3)) else s.e_flag)
+    candidates = sorted_formulas(f for f in getattr(s, where) if type(f) is cls)
+    own = "Cut"
+    if candidates and draw(st.integers(0, 3)):
+        premises = build(s, draw(st.sampled_from(candidates)))
+        index = draw(st.one_of(st.none(), st.integers(0, len(premises) - 1)))
+        if index is None:
+            own = built_by
+        else:
+            own, premises = REFUTATIONS[built_by, index], premises[index:index + 1]
+    else:
+        premises = tuple(draw(st.lists(sequents, max_size=3)))
+    name = draw(st.one_of(st.just(own), st.sampled_from(NAMES)))
+    return rule_node(s, name, tuple(axiom_leaf(p, "Id") for p in premises))
+
+
+def _two_and_l_principals():
+    """AndL on two principals, with the premise of the second in text order."""
+    s = sequent([], [parse("a & b"), parse("c & d")], [parse("e")])
+    return rule_node(s, "AndL", (axiom_leaf(sequent([], [parse("a & b"), Var("c"), Var("d")],
+                                                     [parse("e")]), "Id"),))
+
+
+def _plain(rule: str, s, index=None) -> Derivation:
+    """rule's premises on s's first principal of its connective, built
+    whether or not the rule fires on s; given index, the refutational node
+    over that premise alone."""
+    where, cls, build = RULE_TABLE[rule]
+    f = sorted_formulas(f for f in getattr(s, where) if type(f) is cls)[0]
+    premises = build(s, f)
+    if index is not None:
+        rule, premises = REFUTATIONS[rule, index], premises[index:index + 1]
+    return rule_node(s, rule, tuple(axiom_leaf(p, "Id") for p in premises))
+
+
+class TestRuleTestsAgainstReference:
+    def test_golden_certificates(self):
+        for t in golden_certificates():
+            _same_defects(t)
+
+    @given(rule_nodes())
+    @example(_two_and_l_principals())
+    @example(_plain("eAndL", sequent([], [parse("a & b")], [Var("c")])))  # e-rule, plain sequent
+    @example(_plain("eKR", sequent([], [Var("b")], [K(Var("a"))])))
+    @example(_plain("eKR", sequent([], [Var("b")], [K(Var("a"))]), 0))
+    @example(_plain("KL", sequent([], [K(Var("a"))], [Var("b")])))  # flat under IEL-
+    @example(_plain("KL", sequent([], [K(Var("a"))], [Var("b")]), 0))
+    @example(_plain("KL", sequent([], [K(Var("a")), parse("a | b")], [Var("b")]), 1))
+    @example(_plain("KL", sequent([K(Var("a"))], [K(Var("a"))], [Var("b")]), 1))  # kept by KL2
+    @example(_plain("AndL", sequent([], [parse("a & b"), Var("c")], [Var("c")])))  # terminal
+    @example(_plain("AndL", sequent([], [parse("a & b")], [Var("c")]), 0))
+    def test_rule_nodes(self, t):
+        _same_defects(t)
+
+    @given(st.data())
+    def test_golden_certificates_with_a_renamed_node(self, data):
+        t = data.draw(st.sampled_from(golden_certificates()))
+        node = data.draw(st.sampled_from(_preorder(t)))
+        _same_defects(_replaced(t, node, node._replace(rule=data.draw(st.sampled_from(NAMES)))))
+
+    @given(st.data())
+    def test_golden_certificates_with_a_child_given_another_nodes_sequent(self, data):
+        t = data.draw(st.sampled_from([t for t in golden_certificates() if t.children]))
+        nodes = _preorder(t)
+        node = data.draw(st.sampled_from([n for n in nodes if n.children]))
+        i = data.draw(st.integers(0, len(node.children) - 1))
+        child = node.children[i]._replace(sequent=data.draw(st.sampled_from(nodes)).sequent)
+        kids = (*node.children[:i], child, *node.children[i + 1:])
+        _same_defects(_replaced(t, node, node._replace(children=kids)))
+
+
+class TestFirstPremise:
+    """has_instance skips a principal that got's first sequent still holds
+    in the rule's compartment: every builder drops its principal there."""
+
+    @given(st.sampled_from(RULES), sequents, st.data())
+    def test_every_builder_drops_its_principal_from_its_compartment(self, rule, s, data):
+        where, cls, build = RULE_TABLE[rule]
+        f = data.draw(_principal(cls))
+        s = s._replace(**{where: getattr(s, where) | {f}})
+        assert f not in getattr(build(s, f)[0], where)
