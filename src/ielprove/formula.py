@@ -223,6 +223,7 @@ def render(f: Formula) -> str:
 
 
 by_text = attrgetter("_text")  # render, as a sort key without a Python frame per formula
+by_size = attrgetter("_size")  # connective_count, likewise
 
 
 def sorted_formulas(fs: Iterable[Formula]) -> list[Formula]:

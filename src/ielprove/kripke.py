@@ -10,16 +10,13 @@ rules.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .formula import And, Bottom, Formula, Imp, K, Or, Var, subformulas
+from .formula import And, Bottom, Formula, Imp, K, Or, Var, by_size, subformulas
 from .sequent import Logic, Sequent
 
 
 Pair = tuple[int, int]
-
-_size = attrgetter("_size")  # connective_count, without a Python frame per formula
 
 
 class KripkeModel(NamedTuple):
@@ -106,7 +103,7 @@ def _forcing(m: KripkeModel, formulas: Iterable[Formula]) -> dict[Formula, froze
     computed children-first, assuming m passes check_frame for the logic in
     use."""
     out: dict[Formula, frozenset[int]] = {}
-    for g in sorted(frozenset().union(*map(subformulas, formulas)), key=_size):
+    for g in sorted(frozenset().union(*map(subformulas, formulas)), key=by_size):
         cls = type(g)
         if cls is Var:
             ws = frozenset(w for w in m.worlds if g.name in m.valuation.get(w, frozenset()))

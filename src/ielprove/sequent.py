@@ -19,7 +19,6 @@ compartment's formulas in their JSON form (formula.py), sorted by text.
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .formula import (
@@ -27,13 +26,11 @@ from .formula import (
     Bottom,
     Formula,
     Var,
+    by_size,
     formula_from_json,
     render,
     sorted_formulas,
 )
-
-
-_size = attrgetter("_size")  # connective_count, without a Python frame per formula
 
 
 class Logic(Enum):
@@ -54,8 +51,8 @@ class Sequent(NamedTuple):
 
     @property
     def size(self) -> int:
-        return (sum(map(_size, self.theta)) + sum(map(_size, self.gamma))
-                + sum(map(_size, self.delta)))
+        return (sum(map(by_size, self.theta)) + sum(map(by_size, self.gamma))
+                + sum(map(by_size, self.delta)))
 
 
 def sequent(theta: Iterable[Formula] = (), gamma: Iterable[Formula] = (),
