@@ -31,6 +31,7 @@ from .rules import (
     has_instance,
     riel_axiom,
     rule_instances,
+    shrink_check,
 )
 from .sequent import Logic, atoms_only, gamma_vars, liel_axiom, sequent_text
 
@@ -52,7 +53,9 @@ _PREMISE_OF = {name: key for key, name in REFUTATIONS.items()
 def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
     """Validate a refutation: recognised rules under the logic at hand, the
     global proviso, exact (and nonempty) Glue premise families, satisfiable
-    leaves, the depth bound and the subformula property."""
+    leaves, the depth bound and the subformula property.  The premises a
+    node's children are compared with are checked to shrink, as in
+    has_instance; expansion does not check them, so the Glue test does."""
 
     def rule_defect(node: Refutation) -> tuple[Optional[Defect], bool]:
         s, rule = node.sequent, node.rule
@@ -65,7 +68,8 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
         got = tuple(c.sequent for c in node.children)
         if rule in ("Glue", "eGlue"):
             insts = expansion(s, logic)
-            expected = [inst.premises[-1] for inst in insts if inst.rule in NONINVERTIBLE]
+            expected = shrink_check(s, s.size, tuple(
+                inst.premises[-1] for inst in insts if inst.rule in NONINVERTIBLE))
             # With no premises, s may be expanded by an invertible rule instead.
             if (rule == "Glue") == s.e_flag or not expected and any(
                     inst.rule in INVERTIBLE for inst in insts):

@@ -11,11 +11,14 @@ connective to rule derived from the table; the flat tests (liel_flat,
 riel_axiom) and expansion, the instances the search decides a sequent by,
 read it.  What asks about one rule (rule_instances, and has_instance, the
 checkers' test of a rule node) reads that rule's own principals through the
-same map.  Proofs and refutations share one tree type, one checker skeleton
-(check_derivation: the subformula property, leaf and node shape, the depth
-bound; a calculus adds an axiom test and a rule test, which builds the
-node's own rule's instances) and one JSON codec (derivation_json writes the
-text of a certificate, derivation_from_json reads it back).
+same map, and checks that each premise it builds is smaller than its
+conclusion (shrink_check); expansion leaves that to the search, which
+checks each premise it visits.  Proofs and refutations share one tree
+type, one checker skeleton (check_derivation: the subformula property,
+leaf and node shape, and the depth bound, all from one walk; a calculus
+adds an axiom test and a rule test, which builds the node's own rule's
+instances) and one JSON codec (derivation_json writes the text of a
+certificate, derivation_from_json reads it back).
 """
 
 from __future__ import annotations
@@ -244,14 +247,22 @@ def principals(s: Sequent, logic: Logic) -> dict[str, list[Formula]]:
     return found
 
 
-def _instance(s: Sequent, rule: str, f: Formula) -> Instantiation:
-    premises = RULE_TABLE[rule][2](s, f)
-    # Termination and the depth bound rest on this; raised rather than
-    # asserted so that it also holds under -O.
-    size = s.size
-    if not all(p.size < size for p in premises):
-        raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
-    return Instantiation(rule, premises)
+def shrink_check(s: Sequent, size: int, premises: tuple[Sequent, ...]) -> tuple[Sequent, ...]:
+    """premises, each checked to be smaller than size, s's connective count.
+    Termination and the depth bound rest on this; raised rather than
+    asserted so that it also holds under -O."""
+    for p in premises:
+        if p.size >= size:
+            raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
+    return premises
+
+
+def _instance(s: Sequent, size: int, rule: str, f: Formula) -> Instantiation:
+    """The instance of rule on s for principal f, its premises checked to
+    shrink against size, s's.  The checkers' instances (rule_instances,
+    has_instance) are built here; expansion leaves its premises to the
+    search, which checks each one it visits."""
+    return Instantiation(rule, shrink_check(s, size, RULE_TABLE[rule][2](s, f)))
 
 
 def _own_principals(rule: str, s: Sequent, logic: Logic) -> list[Formula]:
@@ -270,21 +281,27 @@ def _own_principals(rule: str, s: Sequent, logic: Logic) -> list[Formula]:
 def rule_instances(rule: str, s: Sequent, logic: Logic) -> Iterator[Instantiation]:
     """The instantiations of one validity rule on s, lazily, in canonical
     order; a rule that does not fire on s, or an unknown name, has none."""
-    return (_instance(s, rule, f) for f in sorted(_own_principals(rule, s, logic), key=by_text))
+    size = s.size
+    return (_instance(s, size, rule, f)
+            for f in sorted(_own_principals(rule, s, logic), key=by_text))
 
 
 def has_instance(rule: str, s: Sequent, logic: Logic, got: tuple[Sequent, ...],
                  index: Optional[int] = None) -> bool:
     """Whether some instance of rule on s has got as its premises or, given
     index, as the 1-tuple of its premise index.  Only rule's own instances
-    are built, in any order, up to the first that fits.  Every builder drops
-    its principal from its compartment in the first premise, so a principal
-    still there in got's first sequent is skipped unbuilt."""
+    are built, in any order, up to the first that fits, and s's size is
+    read once for all of them.  Every builder drops its principal from its
+    compartment in the first premise, so a principal still there in got's
+    first sequent is skipped unbuilt."""
     fs = _own_principals(rule, s, logic)
-    kept = getattr(got[0], RULE_TABLE[rule][0]) if fs and got and index in (None, 0) else ()
+    if not fs:
+        return False
+    kept = getattr(got[0], RULE_TABLE[rule][0]) if got and index in (None, 0) else ()
+    size = s.size
     for f in fs:
         if f not in kept:
-            premises = _instance(s, rule, f).premises
+            premises = _instance(s, size, rule, f).premises
             if (premises if index is None else (premises[index],)) == got:
                 return True
     return False
@@ -294,15 +311,18 @@ def expansion(s: Sequent, logic: Logic) -> tuple[Instantiation, ...]:
     """The instances the search decides s by: the first instance of the
     first invertible rule that has one; else every instance of the
     non-invertible rules; else the first instance of KL.  Empty exactly
-    when no rule has an instance."""
+    when no rule has an instance.  The premises are the builders', not
+    checked to shrink here: the search checks each premise it visits, on
+    its own size, and check_refutation each Glue premise it compares."""
     found = principals(s, logic)
     for rule in INVERTIBLE:
         if rule in found:
-            return (_instance(s, rule, found[rule][0]),)
-    insts = tuple(_instance(s, rule, f) for rule in NONINVERTIBLE for f in found.get(rule, ()))
+            return (Instantiation(rule, RULE_TABLE[rule][2](s, found[rule][0])),)
+    insts = tuple(Instantiation(rule, RULE_TABLE[rule][2](s, f))
+                  for rule in NONINVERTIBLE for f in found.get(rule, ()))
     if insts or "KL" not in found:
         return insts
-    return (_instance(s, "KL", found["KL"][0]),)
+    return (Instantiation("KL", RULE_TABLE["KL"][2](s, found["KL"][0])),)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +365,8 @@ def check_derivation(t: Derivation, axiom_fits: Callable[[Sequent, str], bool],
     """The checks both calculi share: the subformula property relative to
     the root sequent (falsum always allowed), fitting axiom leaves, no node
     with both a rule and an axiom, and depth bounded by the connective count
-    of the root.  A calculus gives the rest as two tests: axiom_fits(s,
+    of the root, the depth taken from the same walk where it descends to
+    every node.  A calculus gives the rest as two tests: axiom_fits(s,
     name) for a leaf, and rule_defect(node) for a rule node, which returns
     the rule's defect there, or None, and whether the node's children are
     checked."""
@@ -381,13 +402,19 @@ def check_derivation(t: Derivation, axiom_fits: Callable[[Sequent, str], bool],
     # Pre-order, children left to right.  A subtree's defects form one run
     # of the list, so a repeated node re-appends the run its first
     # occurrence produced: the list is the one a walk of the expanded tree
-    # gives.  An entry (node, start) closes node's run, which began at start.
-    runs: dict[int, tuple[int, int]] = {}
+    # gives.  An entry (node, start) closes node's run, which began at start,
+    # after every child's has closed, so the close also records node's
+    # depth, unless the walk left some node's children unvisited (partial):
+    # then the depth bound takes its own pass.
+    runs: dict[int, tuple[int, int, int]] = {}
+    partial = False
     stack: list[tuple[Derivation, Optional[int]]] = [(t, None)]
     while stack:
         node, start = stack.pop()
         if start is not None:
-            runs[id(node)] = (start, len(defects))
+            kids = node.children
+            depth = 1 + max([runs[id(c)][2] for c in kids]) if kids and not partial else 0
+            runs[id(node)] = (start, len(defects), depth)
             continue
         run = runs.get(id(node))
         if run is not None:
@@ -396,8 +423,11 @@ def check_derivation(t: Derivation, axiom_fits: Callable[[Sequent, str], bool],
         stack.append((node, len(defects)))
         if own_defects(node):
             stack.extend((c, None) for c in reversed(node.children))
+        elif node.children:
+            partial = True
 
-    depth, size = derivation_depth(t), root.size
+    depth = derivation_depth(t) if partial else runs[id(t)][2]
+    size = root.size
     if depth > size:
         defects.append(Defect("DepthBound", f"depth {depth} exceeds {size} connectives"))
     return defects

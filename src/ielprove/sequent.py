@@ -4,10 +4,12 @@ A sequent <Theta ; Gamma => Delta> has three finite formula sets and an
 E-flag; E-sequents additionally commit their satisfying world to E-reach
 itself.  A Sequent is the NamedTuple of those four fields, so it equals
 and unpacks like the plain tuple of them.  Its connective count (size) is
-not a field: it is computed when read, by the two checks that need it
-(premises must shrink, and a derivation's depth is bounded by its
-root's).  Terminal sequents split into axioms and flat sequents, with the
-axiom/flat roles swapped between the validity calculus and the refutational
+not a field: it is summed when read, by the two checks that need it.
+Premises must shrink: the search reads it once per sequent it visits, and
+the checkers once per rule node and once per premise they build.  A
+derivation's depth is bounded by its root's, read once per check.
+Terminal sequents split into axioms and flat sequents, with the axiom/flat
+roles swapped between the validity calculus and the refutational
 calculus.  The axioms of the validity calculus are tested here (liel_axiom),
 and they are the sequents no refutational rule applies to.  A flat sequent
 of the validity calculus is one that no rule applies to, so its tests live
@@ -41,8 +43,9 @@ class Logic(Enum):
 class Sequent(NamedTuple):
     """An immutable sequent: its four fields and nothing else.  It compares,
     hashes and unpacks as the plain tuple (theta, gamma, delta, e_flag);
-    size, the connective count of all three compartments, is computed when
-    read, from the counts the formulas store."""
+    size, the connective count of all three compartments, is summed on
+    each read from the counts the formulas store, so a caller that needs
+    it twice keeps it."""
 
     theta: frozenset[Formula] = frozenset()
     gamma: frozenset[Formula] = frozenset()

@@ -1,8 +1,9 @@
 """The invariants the search and its memo table lean on: one live object per
-distinct formula, stored sequent sizes, the premise-shrink check in
-rule_instances, the model depth carried next to each refutation, a rule
-instance on every sequent that is neither an axiom nor flat, and the one
-principal pass (principals, expansion) against per-rule references."""
+distinct formula, stored sequent sizes, premises smaller than their
+conclusions in every search result and the checks that enforce it, the
+model depth carried next to each refutation, a rule instance on every
+sequent that is neither an axiom nor flat, and the one principal pass
+(principals, expansion) against per-rule references."""
 
 import copy
 import gc
@@ -33,17 +34,19 @@ from ielprove.formula import (
 from ielprove.kripke import depth
 from ielprove.oracle import random_formulas
 from ielprove.prover import _search, decide, outcome_defect, piel
-from ielprove.refuter import refutation_model
+from ielprove.refuter import check_refutation, refutation_model
 from ielprove.rules import (
     INVERTIBLE,
     NONINVERTIBLE,
     RULE_TABLE,
     RULES,
+    axiom_leaf,
     expansion,
     liel_flat,
     principals,
     riel_axiom,
     rule_instances,
+    rule_node,
 )
 from ielprove.sequent import Logic, Sequent, liel_axiom, sequent
 
@@ -274,6 +277,41 @@ class TestCarriedDepth:
         assert refuted > 500
 
 
+class TestPremisesShrink:
+    """Every child of a search result, proof or refutation, shared or under
+    a Glue node, has fewer connectives than its parent."""
+
+    @staticmethod
+    def _assert_children_shrink(t) -> int:
+        """Check each distinct node of t; the number of Glue/eGlue nodes."""
+        seen, stack, glued = set(), [t], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            glued += node.rule in ("Glue", "eGlue")
+            for c in node.children:
+                assert c.sequent.size < node.sequent.size, (node.rule, node.sequent)
+                stack.append(c)
+        return glued
+
+    @given(formulas)
+    def test_hypothesis_formulas(self, f):
+        for logic in Logic:
+            tree, _ = _search(Sequent(delta=frozenset({f})), logic, {})
+            self._assert_children_shrink(tree)
+
+    def test_random_formulas(self):
+        glued = 0
+        for size in (4, 8, 12, 16):
+            for f in random_formulas(100, seed=size, max_connectives=size):
+                for logic in Logic:
+                    tree, _ = _search(Sequent(delta=frozenset({f})), logic, {})
+                    glued += self._assert_children_shrink(tree)
+        assert glued >= 20
+
+
 class TestShrinkCheck:
     def test_non_shrinking_premise_is_rejected(self, monkeypatch):
         s = sequent([], [], [parse("a -> b")])
@@ -287,18 +325,64 @@ class TestShrinkCheck:
         with pytest.raises(AssertionError, match="premise failed to shrink"):
             piel(s, Logic.IEL)
 
+    def test_non_shrinking_premise_below_the_root(self, monkeypatch):
+        # The root's ImpR instance shrinks; the inner one returns its own
+        # conclusion, whose size the search has from the root's call.
+        build, inner = RULE_TABLE["ImpR"][2], parse("b -> c")
+
+        def stuck_inside(s, f):
+            return (s,) if f is inner else build(s, f)
+
+        monkeypatch.setitem(rules.RULE_TABLE, "ImpR", ("delta", Imp, stuck_inside))
+        with pytest.raises(AssertionError, match="premise failed to shrink"):
+            piel(sequent([], [], [parse("a -> (b -> c)")]), Logic.IEL)
+
+    def test_non_shrinking_premise_already_decided(self, monkeypatch):
+        # AndR decides => a -> a first; then ImpR on b -> b yields that same
+        # sequent, no smaller than b -> b's, so the search meets it in the memo.
+        build, second = RULE_TABLE["ImpR"][2], parse("b -> b")
+        decided = sequent([], [], [parse("a -> a")])
+
+        def to_decided(s, f):
+            return (decided,) if f is second else build(s, f)
+
+        monkeypatch.setitem(rules.RULE_TABLE, "ImpR", ("delta", Imp, to_decided))
+        root, memo = sequent([], [], [parse("(a -> a) & (b -> b)")]), {}
+        with pytest.raises(AssertionError, match="premise failed to shrink"):
+            _search(root, Logic.IEL, memo)
+        assert decided in memo
+        with pytest.raises(AssertionError, match="premise failed to shrink"):
+            piel(root, Logic.IEL)
+
+    def test_non_shrinking_glue_premise_is_rejected_by_the_checker(self, monkeypatch):
+        # A Glue node whose one child is the rightmost premise the schema
+        # gives, here its own conclusion: the children match that premise.
+        s = sequent([], [], [parse("a -> b")])
+        build = RULE_TABLE["ImpR"][2]
+
+        def stuck_right(s, f):
+            return (build(s, f)[0], s)
+
+        monkeypatch.setitem(rules.RULE_TABLE, "ImpR", ("delta", Imp, stuck_right))
+        t = rule_node(s, "Glue", (axiom_leaf(s, "Sat"),))
+        with pytest.raises(AssertionError, match="premise failed to shrink"):
+            check_refutation(t, Logic.IEL)
+
     def test_check_survives_optimised_mode(self):
         code = (
             "from ielprove import rules\n"
             "from ielprove.formula import Imp, parse\n"
+            "from ielprove.prover import piel\n"
             "from ielprove.sequent import Logic, sequent\n"
             "s = sequent([], [], [parse('a -> b')])\n"
             "rules.RULE_TABLE['ImpR'] = ('delta', Imp, lambda s, f: (s,))\n"
-            "try:\n"
-            "    list(rules.rule_instances('ImpR', s, Logic.IEL))\n"
-            "except AssertionError:\n"
-            "    print('rejected')\n"
+            "for check in (lambda: list(rules.rule_instances('ImpR', s, Logic.IEL)),\n"
+            "              lambda: piel(s, Logic.IEL)):\n"
+            "    try:\n"
+            "        check()\n"
+            "    except AssertionError:\n"
+            "        print('rejected')\n"
         )
         run = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True)
-        assert run.stdout.strip() == "rejected", run.stderr
+        assert run.stdout.split() == ["rejected", "rejected"], run.stderr

@@ -26,6 +26,7 @@ from ielprove.rules import (
     axiom_leaf,
     RULES,
     check_proof,
+    derivation_depth,
     liel_flat,
     proof_from_json,
     proof_to_json,
@@ -193,6 +194,65 @@ class TestCheckProof:
         obj["rule"] = "Cut"
         with pytest.raises(ValueError):
             proof_from_json(obj)
+
+
+_ROOT = sequent([], [], [parse("a & b -> c")])  # 2 connectives
+_MID = sequent([], [parse("a & b")], [parse("c")])
+
+
+def _too_deep():
+    """Three AndL nodes over an Id leaf, all within the root's subformulas."""
+    t = axiom_leaf(sequent([], [a], [a]), "Id")
+    for _ in range(3):
+        t = rule_node(_MID, "AndL", (t,))
+    return t
+
+
+# A node over the too-deep part that one checker or both do not descend.
+_HANGS = {
+    "RuleOnTerminal": rule_node(sequent([], [a], [a]), "AndL", (_too_deep(),)),
+    "NonAxiomLeaf": Derivation(_MID, None, "Id", (_too_deep(),)),
+    "MalformedNode": Derivation(_MID, "AndL", "Id", (_too_deep(),)),
+    "BadRule": rule_node(_MID, "ImpR", (_too_deep(),)),
+}
+
+_DEPTH = "DepthBound: depth 5 exceeds 2 connectives"
+_AND_L = "BadInstantiation: AndL on  ; a & b => c"
+
+# (check_proof of ImpR over the node twice, check_refutation of ImpR1 over it once)
+_FALLBACK_DEFECTS = {
+    "RuleOnTerminal": (
+        ["BadInstantiation: ImpR on  ;  => a & b -> c",
+         "RuleOnTerminal: AndL on terminal  ; a => a",
+         "RuleOnTerminal: AndL on terminal  ; a => a", _DEPTH],
+        ["BadInstantiation: ImpR1 on  ;  => a & b -> c",
+         "ProvisoViolation: AndL fired on  ; a => a", _DEPTH]),
+    "NonAxiomLeaf": (
+        ["NonAxiomLeaf:  ; a & b => c"] * 2 + [_DEPTH],
+        ["NonAxiomLeaf:  ; a & b => c", _DEPTH]),
+    "MalformedNode": (
+        ["MalformedNode:  ; a & b => c"] * 2 + [_DEPTH],
+        ["MalformedNode:  ; a & b => c", _DEPTH]),
+    "BadRule": (
+        (["BadInstantiation: ImpR on  ; a & b => c"] + [_AND_L] * 3) * 2 + [_DEPTH],
+        ["BadRule: 'ImpR'", _DEPTH]),
+}
+
+
+class TestDepthBoundFallback:
+    """The depth bound counts the branches below a node the walk does not
+    descend, so it takes its own pass there."""
+
+    @pytest.mark.parametrize("kind", sorted(_HANGS))
+    def test_depth_below_an_unchecked_node(self, kind):
+        node = _HANGS[kind]
+        proof = rule_node(_ROOT, "ImpR", (node, node))
+        refutation = rule_node(_ROOT, "ImpR1", (node,))
+        assert derivation_depth(proof) == derivation_depth(refutation) == 5
+        for logic in Logic:
+            assert ([str(d) for d in check_proof(proof, logic)],
+                    [str(d) for d in check_refutation(refutation, logic)]
+                    ) == _FALLBACK_DEFECTS[kind]
 
 
 # ---------------------------------------------------------------------------
