@@ -74,7 +74,7 @@ def _read_json(path: str) -> object:
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -33,7 +33,7 @@ from .rules import (
     rule_instances,
     shrink_check,
 )
-from .sequent import Logic, atoms_only, gamma_vars, liel_axiom, sequent_text
+from .sequent import CompartmentSums, Logic, atoms_only, gamma_vars, liel_axiom, sequent_text
 
 Refutation = Derivation
 
@@ -55,7 +55,9 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
     global proviso, exact (and nonempty) Glue premise families, satisfiable
     leaves, the depth bound and the subformula property.  The premises a
     node's children are compared with are checked to shrink, as in
-    has_instance; expansion does not check them, so the Glue test does."""
+    has_instance; expansion does not check them, so the Glue test does.
+    One CompartmentSums table serves the whole check."""
+    sums = CompartmentSums()
 
     def rule_defect(node: Refutation) -> tuple[Optional[Defect], bool]:
         s, rule = node.sequent, node.rule
@@ -68,8 +70,8 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
         got = tuple(c.sequent for c in node.children)
         if rule in ("Glue", "eGlue"):
             insts = expansion(s, logic)
-            expected = shrink_check(s, s.size, tuple(
-                inst.premises[-1] for inst in insts if inst.rule in NONINVERTIBLE))
+            expected = shrink_check(s, sums.size_of(s), tuple(
+                inst.premises[-1] for inst in insts if inst.rule in NONINVERTIBLE), sums)
             # With no premises, s may be expanded by an invertible rule instead.
             if (rule == "Glue") == s.e_flag or not expected and any(
                     inst.rule in INVERTIBLE for inst in insts):
@@ -84,7 +86,7 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
             return Defect("ProvisoViolation",
                           f"KL2 needs an atomic third compartment: {sequent_text(s)}"), True
         premise_of, i = _PREMISE_OF[rule]
-        if has_instance(premise_of, s, logic, got, i):
+        if has_instance(premise_of, s, logic, got, sums, i):
             return None, True
         return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}"), True
 

@@ -5,20 +5,26 @@ in canonical order, the compartment and connective of its principal
 formulas and how it instantiates bottom-up on one of them.  Every
 refutational rule is one premise of a validity rule, and REFUTATIONS names
 it.  The calculus for IEL- is the same rule set minus the left K rule on
-plain sequents.  One pass over a sequent (principals) finds the principals
-of every rule that fires on it, through a map from compartment and
-connective to rule derived from the table; the flat tests (liel_flat,
-riel_axiom) and expansion, the instances the search decides a sequent by,
-read it.  What asks about one rule (rule_instances, and has_instance, the
-checkers' test of a rule node) reads that rule's own principals through the
-same map, and checks that each premise it builds is smaller than its
-conclusion (shrink_check); expansion leaves that to the search, which
-checks each premise it visits.  Proofs and refutations share one tree
-type, one checker skeleton (check_derivation: the subformula property,
-leaf and node shape, and the depth bound, all from one walk; a calculus
-adds an axiom test and a rule test, which builds the node's own rule's
-instances) and one JSON codec (derivation_json writes the text of a
-certificate, derivation_from_json reads it back).
+plain sequents.  Each rule has a rank, the order the search prefers it in
+(INVERTIBLE, then NONINVERTIBLE, then KL), and one map per logic, E-flag
+and compartment, derived from the table once, gives each connective the
+rank of the one rule that fires on such a principal.  One pass over a
+sequent's second and third compartments through that map finds every
+principal with its rank; expansion, the instances the search decides a
+sequent by, takes the least (rank, text) of that pass, or sorts it once
+when the expansion is non-invertible, and the flat tests (liel_flat,
+riel_axiom) ask whether the pass found anything.  What asks about one rule
+(rule_instances, and has_instance, the checkers' test of a rule node)
+reads that rule's own principals through the same map, and checks that
+each premise it builds is smaller than its conclusion (shrink_check),
+summing through one CompartmentSums table per check; expansion leaves
+that to the search, which checks each premise it visits.  Proofs and
+refutations share one tree type, one checker skeleton (check_derivation:
+the subformula property, leaf and node shape, and the depth bound, all
+from one walk; a calculus adds an axiom test and a rule test, which
+builds the node's own rule's instances) and one JSON codec
+(derivation_json writes the text of a certificate, derivation_from_json
+reads it back).
 """
 
 from __future__ import annotations
@@ -42,12 +48,18 @@ from .formula import (
     subformulas,
 )
 from .sequent import (
+    CompartmentSums,
     Logic,
     Sequent,
     liel_axiom,
     sequent_from_json,
     sequent_text,
 )
+
+# Builds a record from the tuple of its fields, without the Python frame of
+# a NamedTuple's generated __new__: the builders' premises, expansion's
+# instances and the search's nodes are built with it.
+_new = tuple.__new__
 
 
 class Instantiation(NamedTuple):
@@ -73,11 +85,11 @@ class Derivation(NamedTuple):
 
 
 def axiom_leaf(s: Sequent, name: str) -> Derivation:
-    return Derivation(s, None, name, ())
+    return _new(Derivation, (s, None, name, ()))
 
 
 def rule_node(s: Sequent, rule: str, children: tuple[Derivation, ...]) -> Derivation:
-    return Derivation(s, rule, None, children)
+    return _new(Derivation, (s, rule, None, children))
 
 
 def _bottom_up(t: Derivation, combine: Callable[[list[int]], int]) -> int:
@@ -118,42 +130,42 @@ _Build = Callable[[Sequent, Formula], tuple[Sequent, ...]]
 
 
 def _and_l(s: Sequent, f: And) -> tuple[Sequent, ...]:
-    return (Sequent(s.theta, (s.gamma - {f}) | {f.left, f.right}, s.delta, s.e_flag),)
+    return (_new(Sequent, (s.theta, (s.gamma - {f}) | {f.left, f.right}, s.delta, s.e_flag)),)
 
 
 def _and_r(s: Sequent, f: And) -> tuple[Sequent, ...]:
-    return tuple(Sequent(s.theta, s.gamma, (s.delta - {f}) | {g}, s.e_flag)
+    return tuple(_new(Sequent, (s.theta, s.gamma, (s.delta - {f}) | {g}, s.e_flag))
                  for g in (f.left, f.right))
 
 
 def _or_l(s: Sequent, f: Or) -> tuple[Sequent, ...]:
-    return tuple(Sequent(s.theta, (s.gamma - {f}) | {g}, s.delta, s.e_flag)
+    return tuple(_new(Sequent, (s.theta, (s.gamma - {f}) | {g}, s.delta, s.e_flag))
                  for g in (f.left, f.right))
 
 
 def _or_r(s: Sequent, f: Or) -> tuple[Sequent, ...]:
-    return (Sequent(s.theta, s.gamma, (s.delta - {f}) | {f.left, f.right}, s.e_flag),)
+    return (_new(Sequent, (s.theta, s.gamma, (s.delta - {f}) | {f.left, f.right}, s.e_flag)),)
 
 
 def _imp_l(s: Sequent, f: Imp) -> tuple[Sequent, ...]:
     rest = s.gamma - {f}
     return (
-        Sequent(s.theta, rest | {f.right}, s.delta, s.e_flag),
-        Sequent(s.theta | {f.right}, rest, s.delta | {f.left}, s.e_flag),
-        Sequent(frozenset({f.right}), s.theta | rest, frozenset({f.left}), False))
+        _new(Sequent, (s.theta, rest | {f.right}, s.delta, s.e_flag)),
+        _new(Sequent, (s.theta | {f.right}, rest, s.delta | {f.left}, s.e_flag)),
+        _new(Sequent, (frozenset({f.right}), s.theta | rest, frozenset({f.left}), False)))
 
 
 def _imp_r(s: Sequent, f: Imp) -> tuple[Sequent, ...]:
     return (
-        Sequent(s.theta, s.gamma | {f.left}, (s.delta - {f}) | {f.right}, s.e_flag),
-        Sequent(frozenset(), s.theta | s.gamma | {f.left}, frozenset({f.right}), False))
+        _new(Sequent, (s.theta, s.gamma | {f.left}, (s.delta - {f}) | {f.right}, s.e_flag)),
+        _new(Sequent, (frozenset(), s.theta | s.gamma | {f.left}, frozenset({f.right}), False)))
 
 
 def _k_l(s: Sequent, f: K) -> tuple[Sequent, ...]:
     rest = (s.gamma - {f}) | {f.body}
     return (
-        Sequent(frozenset({BOT}), rest, s.delta, True),
-        Sequent(frozenset({BOT}), s.theta | rest, frozenset({BOT}), True))
+        _new(Sequent, (frozenset({BOT}), rest, s.delta, True)),
+        _new(Sequent, (frozenset({BOT}), s.theta | rest, frozenset({BOT}), True)))
 
 
 def _k_r(s: Sequent, f: K) -> tuple[Sequent, ...]:
@@ -161,16 +173,16 @@ def _k_r(s: Sequent, f: K) -> tuple[Sequent, ...]:
     ks = frozenset(g for g in s.gamma if isinstance(g, K))
     rest = (s.gamma - ks) | frozenset(g.body for g in ks)
     return (
-        Sequent(s.theta, rest, (s.delta - {f}) | {f.body}, True),
-        Sequent(frozenset(), s.theta | rest, frozenset({f.body}), False))
+        _new(Sequent, (s.theta, rest, (s.delta - {f}) | {f.body}, True)),
+        _new(Sequent, (frozenset(), s.theta | rest, frozenset({f.body}), False)))
 
 
 def _e_k_l(s: Sequent, f: K) -> tuple[Sequent, ...]:
-    return (Sequent(s.theta, (s.gamma - {f}) | {f.body}, s.delta, True),)
+    return (_new(Sequent, (s.theta, (s.gamma - {f}) | {f.body}, s.delta, True)),)
 
 
 def _e_k_r(s: Sequent, f: K) -> tuple[Sequent, ...]:
-    return (Sequent(s.theta, s.gamma, (s.delta - {f}) | {f.body}, True),)
+    return (_new(Sequent, (s.theta, s.gamma, (s.delta - {f}) | {f.body}, True)),)
 
 
 # The validity rules in canonical order: (compartment, connective, build).
@@ -188,20 +200,6 @@ RULE_TABLE: dict[str, tuple[str, type, _Build]] = {
 RULES = tuple(RULE_TABLE)
 
 
-# (E-flag, logic) -> one map per compartment (gamma, then delta) from
-# connective to the one rule that fires on such a principal, derived from
-# RULE_TABLE once, here.  Rules named with an e fire on E-sequents only, the
-# others on plain sequents only; the left K rule on plain sequents exists
-# only under IEL.
-_DISPATCH = {
-    (e_flag, logic): tuple(
-        {cls: rule for rule, (where, cls, _) in RULE_TABLE.items()
-         if where == part and rule.startswith("e") == e_flag
-         and (rule != "KL" or logic is Logic.IEL)}
-        for part in ("gamma", "delta"))
-    for e_flag in (False, True) for logic in Logic
-}
-
 # The invertible rules, in the order the search tries them, single-premise
 # ones first.  Glue and eGlue fire only where none of them has an instance.
 INVERTIBLE = ("AndL", "OrR", "eAndL", "eOrR", "eKL", "eKR",
@@ -210,6 +208,28 @@ INVERTIBLE = ("AndL", "OrR", "eAndL", "eOrR", "eKL", "eKR",
 # Where no invertible rule has an instance, the search tries every instance
 # of these; one Glue or eGlue node refutes all their rightmost premises.
 NONINVERTIBLE = ("ImpR", "KR", "eImpR", "ImpL", "eImpL")
+
+# Every rule by its rank, the order the search prefers it in: the
+# invertible rules, the non-invertible ones, then KL, which the search
+# tries only where neither has an instance.
+_RANKED = INVERTIBLE + NONINVERTIBLE + ("KL",)
+_RANK = {rule: rank for rank, rule in enumerate(_RANKED)}
+_FIRST_NONINVERTIBLE, _KL = len(INVERTIBLE), _RANK["KL"]
+
+# logic -> E-flag -> one map per compartment (gamma, then delta) from
+# connective to the rank of the one rule that fires on such a principal,
+# derived from RULE_TABLE once, here.  Rules named with an e fire on
+# E-sequents only, the others on plain sequents only; the left K rule on
+# plain sequents exists only under IEL.
+_DISPATCH = {
+    logic: tuple(
+        tuple({cls: _RANK[rule] for rule, (where, cls, _) in RULE_TABLE.items()
+               if where == part and rule.startswith("e") == e_flag
+               and (rule != "KL" or logic is Logic.IEL)}
+              for part in ("gamma", "delta"))
+        for e_flag in (False, True))
+    for logic in Logic
+}
 
 AXIOMS = ("Irr", "Id", "eIrr", "eId")
 
@@ -231,49 +251,78 @@ REFUTATIONS = {
 }
 
 
-def principals(s: Sequent, logic: Logic) -> dict[str, list[Formula]]:
-    """Rule -> its principals in s, in the order of their rendered texts, for
-    every rule that has one: one pass over the second and third
-    compartments, then a sort of each rule's principals."""
-    gamma_rules, delta_rules = _DISPATCH[s.e_flag, logic]
-    found: dict[str, list[Formula]] = {}
-    for rule_of, fs in ((gamma_rules, s.gamma), (delta_rules, s.delta)):
+def _principals(s: Sequent, logic: Logic) -> list[tuple[int, str, Formula]]:
+    """(rank, text, principal) for every principal of a rule that fires on
+    s, unsorted: one pass over the second and third compartments.  Within a
+    rank the texts differ, so these tuples order by (rank, text) alone."""
+    gamma_ranks, delta_ranks = _DISPATCH[logic][s.e_flag]
+    found = []
+    for ranks, fs in ((gamma_ranks, s.gamma), (delta_ranks, s.delta)):
         for f in fs:
-            rule = rule_of.get(type(f))
-            if rule is not None:
-                found.setdefault(rule, []).append(f)
-    for fs in found.values():
-        fs.sort(key=by_text)
+            rank = ranks.get(type(f))
+            if rank is not None:
+                found.append((rank, by_text(f), f))
     return found
 
 
-def shrink_check(s: Sequent, size: int, premises: tuple[Sequent, ...]) -> tuple[Sequent, ...]:
+def _built(s: Sequent, rank: int, f: Formula) -> Instantiation:
+    """The instance of the rule of this rank on s for principal f, its
+    premises as the builder gives them."""
+    rule = _RANKED[rank]
+    return _new(Instantiation, (rule, RULE_TABLE[rule][2](s, f)))
+
+
+def expansion(s: Sequent, logic: Logic) -> tuple[Instantiation, ...]:
+    """The instances the search decides s by: the first instance of the
+    first invertible rule that has one; else every instance of the
+    non-invertible rules; else the first instance of KL.  Empty exactly
+    when no rule has an instance.  One principal pass gives them: its least
+    (rank, text) is the single instance unless its rank is non-invertible,
+    and then one sort orders the non-invertible instances.  The premises
+    are the builders', not checked to shrink here: the search checks each
+    premise it visits, on its own size, and check_refutation each Glue
+    premise it compares."""
+    found = _principals(s, logic)
+    if not found:
+        return ()
+    rank, _, f = min(found)
+    if rank < _FIRST_NONINVERTIBLE or rank == _KL:
+        return (_built(s, rank, f),)
+    found.sort()
+    return tuple([_built(s, rank, f) for rank, _, f in found if rank != _KL])
+
+
+def shrink_check(s: Sequent, size: int, premises: tuple[Sequent, ...],
+                 sums: CompartmentSums) -> tuple[Sequent, ...]:
     """premises, each checked to be smaller than size, s's connective count.
+    Each premise is summed on its own, from sums, the check's table, so a
+    compartment it shares with s is looked up, not summed again.
     Termination and the depth bound rest on this; raised rather than
     asserted so that it also holds under -O."""
     for p in premises:
-        if p.size >= size:
+        if sums[p.theta] + sums[p.gamma] + sums[p.delta] >= size:
             raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
     return premises
 
 
-def _instance(s: Sequent, size: int, rule: str, f: Formula) -> Instantiation:
+def _instance(s: Sequent, size: int, rule: str, f: Formula,
+              sums: CompartmentSums) -> Instantiation:
     """The instance of rule on s for principal f, its premises checked to
     shrink against size, s's.  The checkers' instances (rule_instances,
     has_instance) are built here; expansion leaves its premises to the
     search, which checks each one it visits."""
-    return Instantiation(rule, shrink_check(s, size, RULE_TABLE[rule][2](s, f)))
+    return _new(Instantiation, (rule, shrink_check(s, size, RULE_TABLE[rule][2](s, f), sums)))
 
 
 def _own_principals(rule: str, s: Sequent, logic: Logic) -> list[Formula]:
     """The principals of one rule in s, unsorted: the formulas of its
-    connective in its compartment, if _DISPATCH gives that connective there
-    to it; none for a rule that does not fire on s, or an unknown name."""
+    connective in its compartment, if _DISPATCH gives that connective
+    there to it; none for a rule that does not fire on s, or an unknown name."""
     entry = RULE_TABLE.get(rule)
     if entry is None:
         return []
     where, cls, _ = entry
-    if _DISPATCH[s.e_flag, logic][where == "delta"].get(cls) != rule:
+    if _DISPATCH[logic][s.e_flag][where == "delta"].get(cls) != _RANK[rule]:
         return []
     return [f for f in getattr(s, where) if type(f) is cls]
 
@@ -281,48 +330,33 @@ def _own_principals(rule: str, s: Sequent, logic: Logic) -> list[Formula]:
 def rule_instances(rule: str, s: Sequent, logic: Logic) -> Iterator[Instantiation]:
     """The instantiations of one validity rule on s, lazily, in canonical
     order; a rule that does not fire on s, or an unknown name, has none."""
-    size = s.size
-    return (_instance(s, size, rule, f)
+    sums = CompartmentSums()
+    size = sums.size_of(s)
+    return (_instance(s, size, rule, f, sums)
             for f in sorted(_own_principals(rule, s, logic), key=by_text))
 
 
 def has_instance(rule: str, s: Sequent, logic: Logic, got: tuple[Sequent, ...],
-                 index: Optional[int] = None) -> bool:
+                 sums: CompartmentSums, index: Optional[int] = None) -> bool:
     """Whether some instance of rule on s has got as its premises or, given
     index, as the 1-tuple of its premise index.  Only rule's own instances
-    are built, in any order, up to the first that fits, and s's size is
-    read once for all of them.  Every builder drops its principal from its
-    compartment in the first premise, so a principal still there in got's
-    first sequent is skipped unbuilt."""
+    are built, in any order, up to the first that fits, and each premise
+    built is checked to shrink against s's size, all summed through sums,
+    the check's table, so each distinct compartment is summed once per
+    check.  Every builder drops its principal from its compartment in the
+    first premise, so a principal still there in got's first sequent is
+    skipped unbuilt."""
     fs = _own_principals(rule, s, logic)
     if not fs:
         return False
     kept = getattr(got[0], RULE_TABLE[rule][0]) if got and index in (None, 0) else ()
-    size = s.size
+    size = sums.size_of(s)
     for f in fs:
         if f not in kept:
-            premises = _instance(s, size, rule, f).premises
+            premises = _instance(s, size, rule, f, sums).premises
             if (premises if index is None else (premises[index],)) == got:
                 return True
     return False
-
-
-def expansion(s: Sequent, logic: Logic) -> tuple[Instantiation, ...]:
-    """The instances the search decides s by: the first instance of the
-    first invertible rule that has one; else every instance of the
-    non-invertible rules; else the first instance of KL.  Empty exactly
-    when no rule has an instance.  The premises are the builders', not
-    checked to shrink here: the search checks each premise it visits, on
-    its own size, and check_refutation each Glue premise it compares."""
-    found = principals(s, logic)
-    for rule in INVERTIBLE:
-        if rule in found:
-            return (Instantiation(rule, RULE_TABLE[rule][2](s, found[rule][0])),)
-    insts = tuple(Instantiation(rule, RULE_TABLE[rule][2](s, f))
-                  for rule in NONINVERTIBLE for f in found.get(rule, ()))
-    if insts or "KL" not in found:
-        return insts
-    return (Instantiation("KL", RULE_TABLE["KL"][2](s, found["KL"][0])),)
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +366,24 @@ def expansion(s: Sequent, logic: Logic) -> tuple[Instantiation, ...]:
 def liel_flat(s: Sequent, logic: Logic) -> bool:
     """No rule of the validity calculus applies and s is not an axiom: no
     formula of s is a principal of a rule that fires on it."""
-    return liel_axiom(s) is None and not principals(s, logic)
+    return liel_axiom(s) is None and not _principals(s, logic)
+
+
+def flat_axiom(s: Sequent) -> str:
+    """The refutational axiom a flat s is: eSat on an E-sequent, and on a
+    plain one kSat, the IEL- case that the left K rule of IEL would still
+    expand (a K-formula in its second compartment, which under IEL is never
+    flat), else Sat.  The search names the flat leaves it finds, where
+    expansion gave no instance, by this alone."""
+    if s.e_flag:
+        return "eSat"
+    return "kSat" if any(isinstance(f, K) for f in s.gamma) else "Sat"
 
 
 def riel_axiom(s: Sequent, logic: Logic) -> Optional[str]:
     """Axiom name for the refutational calculus, or None: its axioms are the
-    flat sequents of the validity calculus.  kSat is the IEL- case that the
-    left K rule of IEL would still expand: a flat plain sequent with a
-    K-formula in its second compartment, which under IEL is never flat."""
-    if not liel_flat(s, logic):
-        return None
-    if s.e_flag:
-        return "eSat"
-    return "kSat" if any(isinstance(f, K) for f in s.gamma) else "Sat"
+    flat sequents of the validity calculus, named by flat_axiom."""
+    return flat_axiom(s) if liel_flat(s, logic) else None
 
 
 # ---------------------------------------------------------------------------
@@ -437,21 +476,23 @@ def _axiom_fits(s: Sequent, name: str) -> bool:
     if name in ("Irr", "eIrr"):
         return BOT in s.gamma and s.e_flag == name.startswith("e")
     if name in ("Id", "eId"):
-        return bool(s.gamma & s.delta) and s.e_flag == name.startswith("e")
+        return not s.gamma.isdisjoint(s.delta) and s.e_flag == name.startswith("e")
     return False
 
 
 def check_proof(t: Derivation, logic: Logic) -> list[Defect]:
     """Validate a proof tree: axiom leaves, schema-valid rule nodes, depth
     bounded by the connective count of the root, and the subformula
-    property relative to the root sequent (falsum always allowed)."""
+    property relative to the root sequent (falsum always allowed).  One
+    CompartmentSums table serves the whole check."""
+    sums = CompartmentSums()
 
     def rule_defect(node: Derivation) -> tuple[Optional[Defect], bool]:
         s = node.sequent
         if liel_axiom(s) is None:
-            if has_instance(node.rule, s, logic, tuple(c.sequent for c in node.children)):
+            if has_instance(node.rule, s, logic, tuple(c.sequent for c in node.children), sums):
                 return None, True
-            if principals(s, logic):
+            if _principals(s, logic):
                 return Defect("BadInstantiation", f"{node.rule} on {sequent_text(s)}"), True
         return Defect("RuleOnTerminal", f"{node.rule} on terminal {sequent_text(s)}"), False
 

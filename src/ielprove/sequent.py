@@ -4,10 +4,12 @@ A sequent <Theta ; Gamma => Delta> has three finite formula sets and an
 E-flag; E-sequents additionally commit their satisfying world to E-reach
 itself.  A Sequent is the NamedTuple of those four fields, so it equals
 and unpacks like the plain tuple of them.  Its connective count (size) is
-not a field: it is summed when read, by the two checks that need it.
-Premises must shrink: the search reads it once per sequent it visits, and
-the checkers once per rule node and once per premise they build.  A
-derivation's depth is bounded by its root's, read once per check.
+not a field: Sequent.size sums it when read.  Premises must shrink, and
+the search and the checkers test that on every premise they visit or
+build, so they read sizes through a CompartmentSums table instead: one
+table per top-level search or per check, which sums each distinct
+compartment once and adds three looked-up sums per sequent.  A
+derivation's depth is bounded by its root's size, read once per check.
 Terminal sequents split into axioms and flat sequents, with the axiom/flat
 roles swapped between the validity calculus and the refutational
 calculus.  The axioms of the validity calculus are tested here (liel_axiom),
@@ -39,6 +41,10 @@ class Logic(Enum):
     IEL = "iel"
     IEL_MINUS = "iel-"
 
+    # Members are singletons, so identity hashing is exact; Enum's own
+    # __hash__ runs a Python frame on every lookup keyed by a logic.
+    __hash__ = object.__hash__
+
 
 class Sequent(NamedTuple):
     """An immutable sequent: its four fields and nothing else.  It compares,
@@ -56,6 +62,23 @@ class Sequent(NamedTuple):
     def size(self) -> int:
         return (sum(map(by_size, self.theta)) + sum(map(by_size, self.gamma))
                 + sum(map(by_size, self.delta)))
+
+
+class CompartmentSums(dict):
+    """Compartment -> the connective count of its formulas, summed on its
+    first lookup.  One table serves one top-level search or one check, and
+    is dropped with it: premises share most of their compartments with
+    their conclusions, so size_of(s), s.size as three lookups, sums each
+    distinct compartment once per call."""
+
+    __slots__ = ()
+
+    def __missing__(self, fs: frozenset[Formula]) -> int:
+        n = self[fs] = sum(map(by_size, fs))
+        return n
+
+    def size_of(self, s: Sequent) -> int:
+        return self[s.theta] + self[s.gamma] + self[s.delta]
 
 
 def sequent(theta: Iterable[Formula] = (), gamma: Iterable[Formula] = (),
@@ -84,7 +107,7 @@ def liel_axiom(s: Sequent) -> Optional[str]:
     """
     if BOT in s.gamma:
         return "eIrr" if s.e_flag else "Irr"
-    if s.gamma & s.delta:
+    if not s.gamma.isdisjoint(s.delta):
         return "eId" if s.e_flag else "Id"
     return None
 

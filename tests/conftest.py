@@ -6,7 +6,19 @@ from typing import Optional
 import pytest
 from hypothesis import strategies as st
 
-from ielprove.formula import BOT, And, Bottom, Formula, Imp, K, Or, Var, parse, sorted_formulas
+from ielprove.formula import (
+    BOT,
+    And,
+    Bottom,
+    Formula,
+    Imp,
+    K,
+    Or,
+    Var,
+    by_text,
+    parse,
+    sorted_formulas,
+)
 from ielprove.kripke import KripkeModel
 from ielprove.oracle import random_formula
 from ielprove.refuter import _PREMISE_OF, RIEL_RULES
@@ -16,10 +28,10 @@ from ielprove.rules import (
     RULE_TABLE,
     Defect,
     Derivation,
+    Instantiation,
     _axiom_fits,
     check_derivation,
     expansion,
-    principals,
     riel_axiom,
 )
 from ielprove.sequent import Logic, Sequent, atoms_only, liel_axiom, sequent, sequent_text
@@ -115,6 +127,55 @@ def derivation_dict(t: Derivation, calculus: Optional[str] = None) -> dict:
     obj = {"sequent": sequent_dict(t.sequent), "rule": t.rule, "axiom": t.axiom,
            "children": [derivation_dict(c) for c in t.children]}
     return obj if calculus is None else {**obj, "calculus": calculus}
+
+
+# The reference principal pass and expansion: one map per E-flag and logic
+# from compartment and connective to rule, built here from RULE_TABLE, then
+# per-rule lists of principals, each sorted by text.  rules.expansion must
+# give reference_expansion's instances, in its order.
+
+def _fires(rule: str, part: str, e_flag: bool, logic: Logic) -> bool:
+    return (RULE_TABLE[rule][0] == part and rule.startswith("e") == e_flag
+            and (rule != "KL" or logic is Logic.IEL))
+
+
+_REFERENCE_DISPATCH = {
+    (e_flag, logic): tuple({RULE_TABLE[rule][1]: rule for rule in RULE_TABLE
+                            if _fires(rule, part, e_flag, logic)}
+                           for part in ("gamma", "delta"))
+    for e_flag in (False, True) for logic in Logic
+}
+
+
+def principals(s: Sequent, logic: Logic) -> dict:
+    """Rule -> its principals in s, in the order of their rendered texts, for
+    every rule that has one: one pass over the second and third
+    compartments, then a sort of each rule's principals."""
+    gamma_rules, delta_rules = _REFERENCE_DISPATCH[s.e_flag, logic]
+    found: dict = {}
+    for rule_of, fs in ((gamma_rules, s.gamma), (delta_rules, s.delta)):
+        for f in fs:
+            rule = rule_of.get(type(f))
+            if rule is not None:
+                found.setdefault(rule, []).append(f)
+    for fs in found.values():
+        fs.sort(key=by_text)
+    return found
+
+
+def reference_expansion(s: Sequent, logic: Logic) -> tuple:
+    """The first instance of the first invertible rule that has one; else
+    every instance of the non-invertible rules; else the first instance of
+    KL, read off principals."""
+    found = principals(s, logic)
+    for rule in INVERTIBLE:
+        if rule in found:
+            return (Instantiation(rule, RULE_TABLE[rule][2](s, found[rule][0])),)
+    insts = tuple(Instantiation(rule, RULE_TABLE[rule][2](s, f))
+                  for rule in NONINVERTIBLE for f in found.get(rule, ()))
+    if insts or "KL" not in found:
+        return insts
+    return (Instantiation("KL", RULE_TABLE["KL"][2](s, found["KL"][0])),)
 
 
 # The reference rule tests: each rule node's rule checked in two steps, a

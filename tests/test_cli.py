@@ -596,6 +596,19 @@ class TestExitCodeContract:
         reason = "'utf-8' codec can't decode byte 0xe4 in position 7: unexpected end of data"
         assert run(capsys, *argv, str(path)) == (2, "", f"error: cannot read {path}: {reason}\n")
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python converts integer strings of any length")
+    @pytest.mark.parametrize("command", ["check-proof", "check-model", "check-refutation"])
+    def test_oversized_json_integer_is_not_valid_json(self, capsys, tmp_path, command):
+        # json.loads raises a plain ValueError past the digit limit; before,
+        # the check commands called that a schema error.
+        path = tmp_path / "big.json"
+        path.write_text('{"worlds": [' + "9" * (sys.get_int_max_str_digits() + 1) + "]}")
+        with pytest.raises(ValueError) as raised:
+            json.loads(path.read_text())
+        assert run(capsys, command, str(path)) == (
+            2, "", f"error: {path} is not valid JSON: {raised.value}\n")
+
     @pytest.mark.parametrize("command", ["check-proof", "check-refutation", "crosscheck", "prove"])
     def test_dot_only_where_a_model_is_drawn(self, capsys, tmp_path, command):
         # Real certificates: before dot was refused, these printed "ok".

@@ -2,8 +2,8 @@
 distinct formula, stored sequent sizes, premises smaller than their
 conclusions in every search result and the checks that enforce it, the
 model depth carried next to each refutation, a rule instance on every
-sequent that is neither an axiom nor flat, and the one principal pass
-(principals, expansion) against per-rule references."""
+sequent that is neither an axiom nor flat, and the one ranked principal
+pass and expansion against per-rule references."""
 
 import copy
 import gc
@@ -16,7 +16,14 @@ import weakref
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import formula_dict, formulas, near_flat_sequents, sequents
+from conftest import (
+    formula_dict,
+    formulas,
+    near_flat_sequents,
+    principals,
+    reference_expansion,
+    sequents,
+)
 from ielprove import formula, rules
 from ielprove.formula import (
     BOT,
@@ -41,9 +48,9 @@ from ielprove.rules import (
     RULE_TABLE,
     RULES,
     axiom_leaf,
+    check_proof,
     expansion,
     liel_flat,
-    principals,
     riel_axiom,
     rule_instances,
     rule_node,
@@ -121,6 +128,8 @@ class TestFlatMeansNoRule:
 
     @given(sequents)
     def test_principals_are_the_per_rule_filter(self, s):
+        # Both the reference pass and the ranked one find each rule's
+        # principals by the per-rule filter.
         for logic in Logic:
             reference = {}
             for rule, (part, cls, _) in RULE_TABLE.items():
@@ -128,6 +137,11 @@ class TestFlatMeansNoRule:
                 if fs and _fires(rule, s, logic):
                     reference[rule] = fs
             assert principals(s, logic) == reference
+            ranked = {}
+            for rank, text, f in sorted(rules._principals(s, logic)):
+                assert text == render(f)
+                ranked.setdefault(rules._RANKED[rank], []).append(f)
+            assert ranked == reference
 
     @given(sequents)
     @example(sequent([], [K(Var("a")), K(Var("b"))], [Var("c")]))  # two KL principals
@@ -146,6 +160,17 @@ class TestFlatMeansNoRule:
     def test_riel_axiom_is_the_two_pass_definition(self, s):
         for logic in Logic:
             assert riel_axiom(s, logic) == _two_pass_riel_axiom(s, logic)
+
+    @given(st.one_of(sequents, near_flat_sequents))
+    @example(sequent([], [parse("a & b")], [parse("a | b")]))  # AndL before OrR
+    @example(sequent([], [parse(t) for t in ("a & b", "b & c", "c & a", "a & c")], []))
+    @example(sequent([], [], [parse(t) for t in ("a -> b", "b -> c", "c -> a", "K b", "K a")]))
+    @example(sequent([], [K(Var("c")), K(Var("a")), K(Var("b"))], [Var("c")]))  # KL by text
+    def test_expansion_is_the_principals_reference(self, s):
+        # The ranked pass gives today's per-rule lists' instances, in order:
+        # ties within a rank go by text, ranks by the rule order.
+        for logic in Logic:
+            assert expansion(s, logic) == reference_expansion(s, logic)
 
     def test_the_search_tries_every_rule(self):
         # With the properties above, a sequent the search expands has an
@@ -367,6 +392,24 @@ class TestShrinkCheck:
         t = rule_node(s, "Glue", (axiom_leaf(s, "Sat"),))
         with pytest.raises(AssertionError, match="premise failed to shrink"):
             check_refutation(t, Logic.IEL)
+
+    def test_non_shrinking_premise_from_summed_compartments(self, monkeypatch):
+        # ImpR's rightmost premise is its own conclusion: every compartment
+        # of it was summed for the conclusion, so its size comes from the
+        # per-call table alone.  => a -> a gives an Id first premise, so the
+        # search also visits the second one.
+        s, build = sequent([], [], [parse("a -> a")]), RULE_TABLE["ImpR"][2]
+
+        def keeps_conclusion(s, f):
+            return (build(s, f)[0], s)
+
+        monkeypatch.setitem(rules.RULE_TABLE, "ImpR", ("delta", Imp, keeps_conclusion))
+        first = keeps_conclusion(s, parse("a -> a"))[0]
+        proof = rule_node(s, "ImpR", (axiom_leaf(first, "Id"), axiom_leaf(s, "Id")))
+        for check in (lambda: _search(s, Logic.IEL, {}), lambda: piel(s, Logic.IEL),
+                      lambda: check_proof(proof, Logic.IEL)):
+            with pytest.raises(AssertionError, match="premise failed to shrink"):
+                check()
 
     def test_check_survives_optimised_mode(self):
         code = (

@@ -169,14 +169,16 @@ class TestOneModelPerRefutation:
             self._same_model(Sequent(delta=frozenset({f})))
 
 
-def _full_choose(s: Sequent, size: int, insts: tuple, logic: Logic, memo: dict) -> tuple:
+def _full_choose(s: Sequent, size: int, insts: tuple, logic: Logic, memo: dict,
+                 sums: dict) -> tuple:
     """prover._choose without the cut, the reference for it: every premise
     of every instance is searched until an instance proves s, and the
     refutation of least depth is taken over all candidates, ties to the
-    first, Glue last.  Each search gets s's size, its premise's bound."""
+    first, Glue last.  Each search gets s's size, its premise's bound, and
+    the top-level call's table of compartment sums."""
     candidates, glued = [], []
     for inst in insts:
-        subs = [prover._search(p, logic, memo, size) for p in inst.premises]
+        subs = [prover._search(p, logic, memo, size, sums) for p in inst.premises]
         if not any(d for _, d in subs):
             return rule_node(s, inst.rule, tuple(t for t, _ in subs)), 0
         for i, (t, d) in enumerate(subs):
