@@ -47,9 +47,10 @@ def _logic(args: argparse.Namespace) -> Logic:
 
 
 def _read_text(path: str) -> str:
-    """The file's text; a file that cannot be opened or is not UTF-8 is an error."""
+    """The file's text, without a leading UTF-8 byte-order mark; a file
+    that cannot be opened or is not UTF-8 is an error."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc

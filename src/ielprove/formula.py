@@ -204,7 +204,11 @@ def subformulas(f: Formula) -> frozenset[Formula]:
             g = stack.pop()
             if g not in seen:
                 seen.add(g)
-                stack.extend(v for v in vars(g).values() if isinstance(v, Formula))
+                cls = type(g)
+                if cls is K:
+                    stack.append(g.body)
+                elif cls is not Var and cls is not Bottom:
+                    stack += (g.left, g.right)
         _set(f, "_subs", frozenset(seen))
     return f._subs
 

@@ -31,6 +31,7 @@ from .rules import (
     has_instance,
     riel_axiom,
     rule_instances,
+    sequent_of,
     shrink_check,
 )
 from .sequent import CompartmentSums, Logic, atoms_only, gamma_vars, liel_axiom, sequent_text
@@ -67,7 +68,7 @@ def check_refutation(t: Refutation, logic: Logic) -> list[Defect]:
             return Defect("BadRule", f"{rule} is not available under IEL-"), False
         if liel_axiom(s) is not None:
             return Defect("ProvisoViolation", f"{rule} fired on {sequent_text(s)}"), False
-        got = tuple(c.sequent for c in node.children)
+        got = tuple(map(sequent_of, node.children))
         if rule in ("Glue", "eGlue"):
             insts = expansion(s, logic)
             expected = shrink_check(s, sums.size_of(s), tuple(

@@ -15,10 +15,10 @@ sequent by, takes the least (rank, text) of that pass, or sorts it once
 when the expansion is non-invertible, and the flat tests (liel_flat,
 riel_axiom) ask whether the pass found anything.  What asks about one rule
 (rule_instances, and has_instance, the checkers' test of a rule node)
-reads that rule's own principals through the same map, and checks that
-each premise it builds is smaller than its conclusion (shrink_check),
-summing through one CompartmentSums table per check; expansion leaves
-that to the search, which checks each premise it visits.  Proofs and
+reads that rule's own principals, if the same map gives it their
+connective (_FIRES), and checks that each premise it builds is smaller
+than its conclusion, summing through one CompartmentSums table per check;
+expansion leaves that to the search, which checks each premise it visits.  Proofs and
 refutations share one tree type, one checker skeleton (check_derivation:
 the subformula property, leaf and node shape, and the depth bound, all
 from one walk; a calculus adds an axiom test and a rule test, which
@@ -30,6 +30,7 @@ reads it back).
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .formula import (
@@ -60,6 +61,10 @@ from .sequent import (
 # a NamedTuple's generated __new__: the builders' premises, expansion's
 # instances and the search's nodes are built with it.
 _new = tuple.__new__
+
+# A node's sequent, as a key without a Python frame: the checkers' rule tests
+# read the children's sequents with it.
+sequent_of = attrgetter("sequent")
 
 
 class Instantiation(NamedTuple):
@@ -134,13 +139,15 @@ def _and_l(s: Sequent, f: And) -> tuple[Sequent, ...]:
 
 
 def _and_r(s: Sequent, f: And) -> tuple[Sequent, ...]:
-    return tuple(_new(Sequent, (s.theta, s.gamma, (s.delta - {f}) | {g}, s.e_flag))
-                 for g in (f.left, f.right))
+    rest = s.delta - {f}
+    return (_new(Sequent, (s.theta, s.gamma, rest | {f.left}, s.e_flag)),
+            _new(Sequent, (s.theta, s.gamma, rest | {f.right}, s.e_flag)))
 
 
 def _or_l(s: Sequent, f: Or) -> tuple[Sequent, ...]:
-    return tuple(_new(Sequent, (s.theta, (s.gamma - {f}) | {g}, s.delta, s.e_flag))
-                 for g in (f.left, f.right))
+    rest = s.gamma - {f}
+    return (_new(Sequent, (s.theta, rest | {f.left}, s.delta, s.e_flag)),
+            _new(Sequent, (s.theta, rest | {f.right}, s.delta, s.e_flag)))
 
 
 def _or_r(s: Sequent, f: Or) -> tuple[Sequent, ...]:
@@ -231,6 +238,12 @@ _DISPATCH = {
     for logic in Logic
 }
 
+# logic -> E-flag -> the rules that fire on such sequents: those _DISPATCH
+# gives a connective to.  A rule outside RULE_TABLE fires on none.
+_FIRES = {logic: tuple(frozenset(_RANKED[rank] for ranks in maps for rank in ranks.values())
+                       for maps in by_flag)
+          for logic, by_flag in _DISPATCH.items()}
+
 AXIOMS = ("Irr", "Id", "eIrr", "eId")
 
 # (validity rule, premise index) -> the refutational rule that refutes the
@@ -298,7 +311,8 @@ def shrink_check(s: Sequent, size: int, premises: tuple[Sequent, ...],
     Each premise is summed on its own, from sums, the check's table, so a
     compartment it shares with s is looked up, not summed again.
     Termination and the depth bound rest on this; raised rather than
-    asserted so that it also holds under -O."""
+    asserted so that it also holds under -O.  has_instance repeats this
+    test inline, in its loop over candidate principals."""
     for p in premises:
         if sums[p.theta] + sums[p.gamma] + sums[p.delta] >= size:
             raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
@@ -308,52 +322,46 @@ def shrink_check(s: Sequent, size: int, premises: tuple[Sequent, ...],
 def _instance(s: Sequent, size: int, rule: str, f: Formula,
               sums: CompartmentSums) -> Instantiation:
     """The instance of rule on s for principal f, its premises checked to
-    shrink against size, s's.  The checkers' instances (rule_instances,
-    has_instance) are built here; expansion leaves its premises to the
-    search, which checks each one it visits."""
+    shrink against size, s's.  rule_instances builds its instances here;
+    has_instance makes the same check inline, and expansion leaves its
+    premises to the search, which checks each one it visits."""
     return _new(Instantiation, (rule, shrink_check(s, size, RULE_TABLE[rule][2](s, f), sums)))
-
-
-def _own_principals(rule: str, s: Sequent, logic: Logic) -> list[Formula]:
-    """The principals of one rule in s, unsorted: the formulas of its
-    connective in its compartment, if _DISPATCH gives that connective
-    there to it; none for a rule that does not fire on s, or an unknown name."""
-    entry = RULE_TABLE.get(rule)
-    if entry is None:
-        return []
-    where, cls, _ = entry
-    if _DISPATCH[logic][s.e_flag][where == "delta"].get(cls) != _RANK[rule]:
-        return []
-    return [f for f in getattr(s, where) if type(f) is cls]
 
 
 def rule_instances(rule: str, s: Sequent, logic: Logic) -> Iterator[Instantiation]:
     """The instantiations of one validity rule on s, lazily, in canonical
     order; a rule that does not fire on s, or an unknown name, has none."""
+    if rule not in _FIRES[logic][s.e_flag]:
+        return iter(())
+    where, cls, _ = RULE_TABLE[rule]
     sums = CompartmentSums()
     size = sums.size_of(s)
     return (_instance(s, size, rule, f, sums)
-            for f in sorted(_own_principals(rule, s, logic), key=by_text))
+            for f in sorted(getattr(s, where), key=by_text) if type(f) is cls)
 
 
 def has_instance(rule: str, s: Sequent, logic: Logic, got: tuple[Sequent, ...],
                  sums: CompartmentSums, index: Optional[int] = None) -> bool:
     """Whether some instance of rule on s has got as its premises or, given
-    index, as the 1-tuple of its premise index.  Only rule's own instances
-    are built, in any order, up to the first that fits, and each premise
-    built is checked to shrink against s's size, all summed through sums,
-    the check's table, so each distinct compartment is summed once per
-    check.  Every builder drops its principal from its compartment in the
-    first premise, so a principal still there in got's first sequent is
-    skipped unbuilt."""
-    fs = _own_principals(rule, s, logic)
-    if not fs:
+    index, as the 1-tuple of its premise index.  One loop over the rule's
+    compartment of s takes its principals, in any order, and for each one
+    builds its premises, checks each to shrink against s's size and
+    compares them with got, up to the first that fits, all summed through
+    sums, the check's table, so each distinct compartment is summed once
+    per check.  Every builder drops its principal from its compartment in
+    the first premise, so a principal still there in got's first sequent
+    is skipped unbuilt."""
+    if rule not in _FIRES[logic][s.e_flag]:
         return False
-    kept = getattr(got[0], RULE_TABLE[rule][0]) if got and index in (None, 0) else ()
-    size = sums.size_of(s)
-    for f in fs:
-        if f not in kept:
-            premises = _instance(s, size, rule, f, sums).premises
+    where, cls, build = RULE_TABLE[rule]
+    kept = getattr(got[0], where) if got and index in (None, 0) else ()
+    size = sums[s.theta] + sums[s.gamma] + sums[s.delta]
+    for f in getattr(s, where):
+        if type(f) is cls and f not in kept:
+            premises = build(s, f)
+            for p in premises:
+                if sums[p.theta] + sums[p.gamma] + sums[p.delta] >= size:
+                    raise AssertionError(f"premise failed to shrink: {sequent_text(s)}")
             if (premises if index is None else (premises[index],)) == got:
                 return True
     return False
@@ -415,57 +423,54 @@ def check_derivation(t: Derivation, axiom_fits: Callable[[Sequent, str], bool],
     for f in root.theta | root.gamma | root.delta:
         allowed |= subformulas(f)
 
-    def own_defects(node: Derivation) -> bool:
-        """Append the node's own defects; True if its children are checked."""
-        s = node.sequent
-        if not (s.theta <= allowed and s.gamma <= allowed and s.delta <= allowed):
-            for f in sorted_formulas((s.theta | s.gamma | s.delta) - allowed):
-                defects.append(Defect(
-                    "Subformula",
-                    f"{render(f)} is not a subformula of the root in {sequent_text(s)}"))
-        if node.rule is None:
-            if node.children or node.axiom is None:
-                defects.append(Defect("NonAxiomLeaf", sequent_text(s)))
-            elif not axiom_fits(s, node.axiom):
-                defects.append(Defect(
-                    "BadAxiom", f"{node.axiom} does not fit {sequent_text(s)}"))
-            return False
-        if node.axiom is not None:
-            defects.append(Defect("MalformedNode", sequent_text(s)))
-            return False
-        defect, descend = rule_defect(node)
-        if defect is not None:
-            defects.append(defect)
-        return descend
-
     # Pre-order, children left to right.  A subtree's defects form one run
     # of the list, so a repeated node re-appends the run its first
     # occurrence produced: the list is the one a walk of the expanded tree
-    # gives.  An entry (node, start) closes node's run, which began at start,
-    # after every child's has closed, so the close also records node's
-    # depth, unless the walk left some node's children unvisited (partial):
-    # then the depth bound takes its own pass.
+    # gives.  runs maps a node to (depth, start, end of its run).  A leaf, or
+    # a node whose children are not checked, closes at its visit; any other
+    # goes back under its children with its run's start, an int, above it,
+    # and closes when that pops, after its children, so the close records
+    # its depth, unless some node's children went unvisited (partial): then
+    # the depth bound takes its own pass.
     runs: dict[int, tuple[int, int, int]] = {}
     partial = False
-    stack: list[tuple[Derivation, Optional[int]]] = [(t, None)]
+    stack: list[Union[Derivation, int]] = [t]
     while stack:
-        node, start = stack.pop()
-        if start is not None:
-            kids = node.children
-            depth = 1 + max([runs[id(c)][2] for c in kids]) if kids and not partial else 0
-            runs[id(node)] = (start, len(defects), depth)
-            continue
-        run = runs.get(id(node))
-        if run is not None:
-            defects.extend(defects[run[0]:run[1]])
-            continue
-        stack.append((node, len(defects)))
-        if own_defects(node):
-            stack.extend((c, None) for c in reversed(node.children))
-        elif node.children:
-            partial = True
+        node = stack.pop()
+        if type(node) is int:
+            start, node = node, stack.pop()
+            depth = 0 if partial else 1 + max(map(runs.__getitem__, map(id, node.children)))[0]
+        else:
+            run = runs.get(id(node))
+            if run is not None:
+                defects.extend(defects[run[1]:run[2]])
+                continue
+            start = len(defects)
+            s, rule, axiom, kids = node
+            if not (s.theta <= allowed and s.gamma <= allowed and s.delta <= allowed):
+                for f in sorted_formulas((s.theta | s.gamma | s.delta) - allowed):
+                    defects.append(Defect(
+                        "Subformula",
+                        f"{render(f)} is not a subformula of the root in {sequent_text(s)}"))
+            if rule is None:
+                if kids or axiom is None:
+                    defects.append(Defect("NonAxiomLeaf", sequent_text(s)))
+                elif not axiom_fits(s, axiom):
+                    defects.append(Defect("BadAxiom", f"{axiom} does not fit {sequent_text(s)}"))
+            elif axiom is not None:
+                defects.append(Defect("MalformedNode", sequent_text(s)))
+            else:
+                defect, descend = rule_defect(node)
+                if defect is not None:
+                    defects.append(defect)
+                if descend and kids:
+                    stack += (node, start, *reversed(kids))
+                    continue
+            partial = partial or bool(kids)
+            depth = 0
+        runs[id(node)] = (depth, start, len(defects))
 
-    depth = derivation_depth(t) if partial else runs[id(t)][2]
+    depth = derivation_depth(t) if partial else runs[id(t)][0]
     size = root.size
     if depth > size:
         defects.append(Defect("DepthBound", f"depth {depth} exceeds {size} connectives"))
@@ -490,7 +495,7 @@ def check_proof(t: Derivation, logic: Logic) -> list[Defect]:
     def rule_defect(node: Derivation) -> tuple[Optional[Defect], bool]:
         s = node.sequent
         if liel_axiom(s) is None:
-            if has_instance(node.rule, s, logic, tuple(c.sequent for c in node.children), sums):
+            if has_instance(node.rule, s, logic, tuple(map(sequent_of, node.children)), sums):
                 return None, True
             if _principals(s, logic):
                 return Defect("BadInstantiation", f"{node.rule} on {sequent_text(s)}"), True
@@ -522,6 +527,10 @@ def derivation_text(t: Derivation) -> str:
 
 _JSON_OP = {Var: "var", Bottom: "bot", K: "k", **{cls: op for op, cls in BINARY_OPS.items()}}
 
+# The JSON text of no name and of every rule and axiom name of both calculi.
+_NAME_JSON = {x: json.dumps(x) for x in (None, *RULES, *AXIOMS, *REFUTATIONS.values(),
+                                          "Sat", "eSat", "kSat")}
+
 
 def derivation_json(t: Derivation, calculus: Optional[str] = None) -> str:
     """t as JSON text: a node is {"axiom": A, "children": [...], "rule": R,
@@ -535,11 +544,13 @@ def derivation_json(t: Derivation, calculus: Optional[str] = None) -> str:
     chain of n nodes costs O(n), not O(n^2).  Each distinct formula's text
     is built once per call from its children's texts, children first, with
     its own stack; each distinct compartment is sorted and joined once per
-    call, and each rule and axiom name encoded once.  Nothing recurses, so
-    formulas of any depth encode."""
+    call, and looked up in parts before part is called.  Rule and axiom
+    names are read from _NAME_JSON, built at import; only a name outside
+    both calculi is encoded per node.  Nothing recurses, so formulas of any
+    depth encode."""
     texts: dict[Formula, str] = {}
     parts: dict[frozenset[Formula], str] = {}
-    names: dict[Optional[str], str] = {}
+    known = parts.get
 
     def formula_text(f: Formula) -> str:
         """The memoized text of f, after those of its subformulas."""
@@ -570,45 +581,41 @@ def derivation_json(t: Derivation, calculus: Optional[str] = None) -> str:
         return texts[f]
 
     def part(fs: frozenset[Formula]) -> str:
-        out = parts.get(fs)
-        if out is None:
-            out = parts[fs] = "[" + ", ".join(
-                [texts.get(f) or formula_text(f) for f in sorted_formulas(fs)]) + "]"
-        return out
-
-    def name(x: Optional[str]) -> str:
-        out = names.get(x)
-        if out is None:
-            out = names[x] = json.dumps(x)
+        out = parts[fs] = "[" + ", ".join(
+            [texts.get(f) or formula_text(f) for f in sorted(fs, key=by_text)]) + "]"
         return out
 
     root_key = "" if calculus is None else f'"calculus": {json.dumps(calculus)}, '
     pieces: list[str] = []
     runs: dict[int, tuple[int, int]] = {}
-    # (node, separator) enters node after writing the separator; (node,
-    # start) closes node, whose run of pieces began at start.
-    stack: list[tuple[Derivation, Union[str, int]]] = [(t, "")]
+    # A node is entered, after ", " unless it opens its parent's children
+    # or is the root; a leaf closes there.  Any other goes back under its
+    # children with its run's start, an int, above it, and closes when that pops.
+    stack: list[Union[Derivation, int]] = [t]
     while stack:
-        node, mark = stack.pop()
-        if isinstance(mark, int):
-            s = node.sequent
-            pieces.append(
-                f'], "rule": {name(node.rule)}, "sequent": {{"delta": {part(s.delta)}, '
-                f'"e": {"true" if s.e_flag else "false"}, "gamma": {part(s.gamma)}, '
-                f'"theta": {part(s.theta)}}}}}')
-            runs[id(node)] = (mark, len(pieces))
-            continue
-        if mark:
-            pieces.append(mark)
-        run = runs.get(id(node))
-        if run is not None:
-            pieces.extend(pieces[run[0]:run[1]])
-            continue
-        stack.append((node, len(pieces)))
-        pieces.append(f'{{"axiom": {name(node.axiom)}, '
-                      f'{root_key if node is t else ""}"children": [')
-        kids = node.children
-        stack.extend((kids[i], ", " if i else "") for i in range(len(kids) - 1, -1, -1))
+        node = stack.pop()
+        if type(node) is int:
+            start, node = node, stack.pop()
+        else:
+            if pieces and pieces[-1][-1] != "[":
+                pieces.append(", ")
+            run = runs.get(id(node))
+            if run is not None:
+                pieces.extend(pieces[run[0]:run[1]])
+                continue
+            start = len(pieces)
+            pieces.append(f'{{"axiom": {_NAME_JSON.get(node.axiom) or json.dumps(node.axiom)}, '
+                          f'{root_key if node is t else ""}"children": [')
+            if node.children:
+                stack += (node, start, *reversed(node.children))
+                continue
+        s = node.sequent
+        pieces.append(
+            f'], "rule": {_NAME_JSON.get(node.rule) or json.dumps(node.rule)}, "sequent": '
+            f'{{"delta": {known(s.delta) or part(s.delta)}, '
+            f'"e": {"true" if s.e_flag else "false"}, "gamma": {known(s.gamma) or part(s.gamma)}, '
+            f'"theta": {known(s.theta) or part(s.theta)}}}}}')
+        runs[id(node)] = (start, len(pieces))
     return "".join(pieces)
 
 

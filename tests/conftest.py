@@ -17,7 +17,9 @@ from ielprove.formula import (
     Var,
     by_text,
     parse,
+    render,
     sorted_formulas,
+    subformulas,
 )
 from ielprove.kripke import KripkeModel
 from ielprove.oracle import random_formula
@@ -30,7 +32,7 @@ from ielprove.rules import (
     Derivation,
     Instantiation,
     _axiom_fits,
-    check_derivation,
+    derivation_depth,
     expansion,
     riel_axiom,
 )
@@ -178,10 +180,47 @@ def reference_expansion(s: Sequent, logic: Logic) -> tuple:
     return (Instantiation("KL", RULE_TABLE["KL"][2](s, found["KL"][0])),)
 
 
+# The reference checker skeleton: rules.check_derivation's shared checks,
+# written plainly.  It visits every occurrence of the expanded tree, in
+# pre-order with children left to right, on its own stack, so a node the
+# DAG shares is checked again at each occurrence, not replayed; and it takes
+# the depth bound from derivation_depth, not from its walk.
+
+def reference_skeleton(t: Derivation, axiom_fits, rule_defect) -> list:
+    root = t.sequent
+    allowed = frozenset({BOT}).union(*map(subformulas, root.theta | root.gamma | root.delta))
+    defects = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        s = node.sequent
+        for f in sorted_formulas((s.theta | s.gamma | s.delta) - allowed):
+            defects.append(Defect(
+                "Subformula", f"{render(f)} is not a subformula of the root in {sequent_text(s)}"))
+        if node.rule is None:
+            if node.children or node.axiom is None:
+                defects.append(Defect("NonAxiomLeaf", sequent_text(s)))
+            elif not axiom_fits(s, node.axiom):
+                defects.append(Defect("BadAxiom", f"{node.axiom} does not fit {sequent_text(s)}"))
+        elif node.axiom is not None:
+            defects.append(Defect("MalformedNode", sequent_text(s)))
+        else:
+            defect, descend = rule_defect(node)
+            if defect is not None:
+                defects.append(defect)
+            if descend:
+                stack.extend(reversed(node.children))
+    depth, size = derivation_depth(t), root.size
+    if depth > size:
+        defects.append(Defect("DepthBound", f"depth {depth} exceeds {size} connectives"))
+    return defects
+
+
 # The reference rule tests: each rule node's rule checked in two steps, a
 # whole principal pass over its sequent, then every instance of the node's
-# rule on that pass's principals, in canonical order.  rules.check_proof and
-# refuter.check_refutation must give the same defect lists.
+# rule on that pass's principals, in canonical order, run by the reference
+# skeleton.  rules.check_proof and refuter.check_refutation must give the
+# same defect lists.
 
 def _reference_premises(rule: str, s: Sequent, logic: Logic) -> list:
     return [RULE_TABLE[rule][2](s, f) for f in principals(s, logic).get(rule, ())]
@@ -197,7 +236,7 @@ def reference_check_proof(t: Derivation, logic: Logic) -> list:
             return None, True
         return Defect("BadInstantiation", f"{node.rule} on {sequent_text(s)}"), True
 
-    return check_derivation(t, _axiom_fits, rule_defect)
+    return reference_skeleton(t, _axiom_fits, rule_defect)
 
 
 def reference_check_refutation(t: Derivation, logic: Logic) -> list:
@@ -230,4 +269,4 @@ def reference_check_refutation(t: Derivation, logic: Logic) -> list:
             return None, True
         return Defect("BadInstantiation", f"{rule} on {sequent_text(s)}"), True
 
-    return check_derivation(t, lambda s, name: riel_axiom(s, logic) == name, rule_defect)
+    return reference_skeleton(t, lambda s, name: riel_axiom(s, logic) == name, rule_defect)

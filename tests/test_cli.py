@@ -18,7 +18,7 @@ from conftest import formulas
 from ielprove import cli, prover, refuter
 from ielprove.cli import main
 from ielprove.formula import parse, render
-from ielprove.kripke import check_frame, model_from_json, satisfies
+from ielprove.kripke import check_frame, model_from_json, model_to_json, satisfies
 from ielprove.refuter import check_refutation, refutation_from_json
 from ielprove.rules import (
     axiom_leaf,
@@ -584,10 +584,12 @@ class TestExitCodeContract:
         assert run(capsys, command, "a -> a", "--file", str(path)) == (
             2, "", "error: give a formula or --file, not both\n")
 
-    @pytest.mark.parametrize("argv", [
+    FILE_READERS = pytest.mark.parametrize("argv", [
         ("decide", "--file"), ("check-proof",), ("check-model",), ("check-refutation",),
         ("batch", "--corpus"),
     ], ids=["decide", "check-proof", "check-model", "check-refutation", "batch"])
+
+    @FILE_READERS
     def test_file_that_is_not_utf8_cannot_be_read(self, capsys, tmp_path, argv):
         # Latin-1 text: before, check-* called this a schema error, and
         # decide and batch printed "error: UnicodeDecodeError: ...".
@@ -595,6 +597,28 @@ class TestExitCodeContract:
         path.write_bytes("K a -> ä".encode("latin-1"))
         reason = "'utf-8' codec can't decode byte 0xe4 in position 7: unexpected end of data"
         assert run(capsys, *argv, str(path)) == (2, "", f"error: cannot read {path}: {reason}\n")
+
+    @FILE_READERS
+    def test_utf8_byte_order_mark_is_skipped(self, capsys, tmp_path, argv):
+        # Before, decide gave "syntax error: unexpected character", batch a
+        # corpus line error and the check commands "Unexpected UTF-8 BOM",
+        # all with exit 2.
+        f = parse("K a -> a")
+        text = {
+            "decide": "K a -> a\n",
+            "check-proof": derivation_json(prover.decide(parse("a -> a"), Logic.IEL).tree),
+            "check-model": json.dumps(model_to_json(prover.decide(f, Logic.IEL).model)),
+            "check-refutation": refuter.refutation_json(prover.prove_or_refute_formula(f, Logic.IEL)),
+            "batch": "invalid iel K a -> a\n",
+        }[argv[0]]
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        plain = run(capsys, *argv, str(path))
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        marked = run(capsys, *argv, str(path))
+        assert plain[0] in (0, 1) and plain[2] == ""
+        assert marked[:2] == plain[:2]
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python converts integer strings of any length")

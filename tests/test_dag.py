@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import derivation_dict
+from conftest import derivation_dict, reference_check_proof, reference_check_refutation
 from ielprove.cli import _crosscheck_report, main
 from ielprove.formula import K, Formula, parse, render
 from ielprove.kripke import check_frame, model_from_json, model_to_json
@@ -27,6 +27,7 @@ from ielprove.rules import (
     check_proof,
     derivation_depth,
     derivation_json,
+    derivation_size,
     derivation_text,
     proof_from_json,
     proof_to_json,
@@ -134,7 +135,9 @@ class TestSharedDefects:
         copy = unshared(t)
         assert distinct(t) < occurrences(t) == distinct(copy)
         defects = check_proof(t, Logic.IEL)
-        assert defects == check_proof(copy, Logic.IEL)
+        assert defects == check_proof(copy, Logic.IEL) == reference_check_proof(t, Logic.IEL)
+        for logic in Logic:
+            assert check_refutation(t, logic) == reference_check_refutation(t, logic)
         assert [str(d) for d in defects] == [
             "BadAxiom: Id does not fit  ;  => a",
             "BadAxiom: Irr does not fit  ;  => a",
@@ -163,7 +166,10 @@ class TestSharedDefects:
         dag = swap(t)
         assert distinct(dag) < occurrences(dag)
         defects = check_proof(dag, Logic.IEL)
-        assert defects == check_proof(unshared(dag), Logic.IEL)
+        assert defects == check_proof(unshared(dag), Logic.IEL) == reference_check_proof(
+            dag, Logic.IEL)
+        for logic in Logic:
+            assert check_refutation(dag, logic) == reference_check_refutation(dag, logic)
         assert [d.kind for d in defects] == ["NonAxiomLeaf"] * counts[id(leaf)]
 
 
@@ -171,6 +177,7 @@ class TestEncoder:
     def test_bytes_equal_json_dumps_of_the_dict(self, certs):
         shared = 0
         for t, is_refutation, _ in certs:
+            assert derivation_size(t) == occurrences(t)
             assert derivation_json(t) == json.dumps(derivation_dict(t), sort_keys=True)
             assert proof_to_json(t) == derivation_dict(t)
             if is_refutation:
@@ -189,6 +196,7 @@ class TestEncoder:
                 for logic in Logic:
                     result = prove_or_refute_formula(f, logic)
                     t = result.tree if isinstance(result, Proof) else result
+                    assert derivation_size(t) == occurrences(t)
                     assert derivation_json(t) == json.dumps(derivation_dict(t), sort_keys=True)
                     assert proof_to_json(t) == derivation_dict(t)
                     if not isinstance(result, Proof):

@@ -14,11 +14,12 @@ import json
 import sys
 from pathlib import Path
 
+from conftest import reference_check_proof, reference_check_refutation
 from ielprove.formula import parse, render
 from ielprove.oracle import random_formulas
 from ielprove.prover import Proof, prove_or_refute_formula
 from ielprove.refuter import RIEL_AXIOMS, RIEL_RULES, check_refutation
-from ielprove.rules import AXIOMS, RULES, check_proof
+from ielprove.rules import AXIOMS, RULES, check_proof, derivation_size
 from ielprove.sequent import Logic
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "tampered.json"
@@ -66,24 +67,28 @@ def _mutants(root, rules, axioms):
     return walk(root)
 
 
-def tampered_entries() -> list[dict]:
-    entries = []
+def _certificates():
+    """(formula, logic, calculus, certificate, its rule and axiom names, its
+    checker) for every formula and logic."""
     for text in FORMULAS:
         for logic in Logic:
             out = prove_or_refute_formula(parse(text), logic)
             if isinstance(out, Proof):
-                calculus, tree, rules, axioms, check = (
-                    "proof", out.tree, RULES, AXIOMS, check_proof)
+                yield text, logic, "proof", out.tree, RULES, AXIOMS, check_proof
             else:
-                calculus, tree, rules, axioms, check = (
-                    "refutation", out, RIEL_RULES, RIEL_AXIOMS, check_refutation)
-            assert check(tree, logic) == [], text
-            for index, kind, mutant in _mutants(tree, rules, axioms):
-                entries.append({
-                    "formula": text, "logic": logic.value, "calculus": calculus,
-                    "node": index, "kind": kind,
-                    "defects": [str(d) for d in check(mutant, logic)],
-                })
+                yield text, logic, "refutation", out, RIEL_RULES, RIEL_AXIOMS, check_refutation
+
+
+def tampered_entries() -> list[dict]:
+    entries = []
+    for text, logic, calculus, tree, rules, axioms, check in _certificates():
+        assert check(tree, logic) == [], text
+        for index, kind, mutant in _mutants(tree, rules, axioms):
+            entries.append({
+                "formula": text, "logic": logic.value, "calculus": calculus,
+                "node": index, "kind": kind,
+                "defects": [str(d) for d in check(mutant, logic)],
+            })
     return entries
 
 
@@ -99,6 +104,29 @@ def test_every_premise_swap_is_rejected():
 
 def test_reproduces_golden_file():
     assert golden_text() == GOLDEN.read_text(encoding="utf-8")
+
+
+def _distinct(t) -> int:
+    seen, stack = set(), [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return len(seen)
+
+
+def test_every_mutant_gets_the_reference_skeletons_defects():
+    """A mutant still shares nodes with its untouched siblings, so the
+    checkers' replay of a shared node's defects meets conftest's reference
+    skeleton, which checks every occurrence of the expanded tree again."""
+    reference = {check_proof: reference_check_proof, check_refutation: reference_check_refutation}
+    shared = 0
+    for _, logic, _, tree, rules, axioms, check in _certificates():
+        for _, _, mutant in _mutants(tree, rules, axioms):
+            assert check(mutant, logic) == reference[check](mutant, logic)
+            shared += _distinct(mutant) < derivation_size(mutant)
+    assert shared > 100
 
 
 if __name__ == "__main__":
